@@ -89,26 +89,58 @@ Value RsmReplica::next_command() {
   return kNoOpCommand;
 }
 
-void RsmReplica::start_slot(int slot) {
-  if (slots_[slot]) return;
-  const Value cmd = next_command();
-  proposed_[slot] = cmd;
-  if (cmd != kNoOpCommand) inflight_.insert(cmd);
-  slots_[slot] = slot_factory_(self_, config_);
-  // Consensus proposals must be comparable and non-reserved; no-ops are
-  // encoded as a large sentinel that any proposal set tolerates.
-  slots_[slot]->propose(cmd == kNoOpCommand
-                            ? std::numeric_limits<Value>::max() - self_
-                            : cmd);
-  open_.push_back(slot);
+void RsmReplica::ensure_started(Round k, const Delivery* delivered) {
+  const int last = last_started_slot(k);
+  if (last < started_hwm_) return;
+  // Hand out commands in placement order, burst by burst (started_hwm_ is
+  // always a burst boundary): first the slots this replica owns, then the
+  // rest of the burst from the far end.
+  const int n = config_.n;
+  const auto place = [&](int slot) {
+    if (delivered && find_decide_notice(slot_delivery(slot, *delivered))) {
+      return;  // settled: its instance would never run
+    }
+    const Value cmd = next_command();
+    proposed_[slot] = cmd;
+    if (cmd != kNoOpCommand) inflight_.insert(cmd);
+  };
+  for (int lo = started_hwm_; lo <= last; lo += burst_) {
+    const int hi = std::min(lo + burst_ - 1, last);
+    for (int slot = lo + (self_ - lo % n + n) % n; slot <= hi; slot += n) {
+      place(slot);
+    }
+    for (int slot = hi; slot >= lo; --slot) {
+      if (slot % n != self_) place(slot);
+    }
+  }
+  // Instantiate in ascending order: every new slot lies above every open
+  // one, so open_ stays sorted.
+  for (int slot = started_hwm_; slot <= last; ++slot) {
+    if (!proposed_[slot]) continue;
+    slots_[slot] = slot_factory_(self_, config_);
+    // Consensus proposals must be comparable and non-reserved; no-ops are
+    // encoded as a large sentinel that any proposal set tolerates.
+    slots_[slot]->propose(*proposed_[slot] == kNoOpCommand
+                              ? std::numeric_limits<Value>::max() - self_
+                              : *proposed_[slot]);
+    open_.push_back(slot);
+  }
+  started_hwm_ = last + 1;
 }
 
-void RsmReplica::ensure_started(Round k) {
-  const int last = last_started_slot(k);
-  for (int slot = started_hwm_; slot <= last; ++slot) {
-    if (!log_[slot]) start_slot(slot);
+Delivery RsmReplica::slot_delivery(int slot, const Delivery& delivered) const {
+  Delivery inner;
+  for (const Envelope& env : delivered) {
+    const auto* bundle = env.as<RsmBundleMessage>();
+    if (!bundle) continue;
+    const MessagePtr* part = bundle->part(slot);
+    if (!part) continue;
+    const Round inner_send = env.send_round - slot_start(slot) + 1;
+    if (inner_send >= 1) {
+      inner.push_back(Envelope{env.sender, inner_send, *part});
+    }
   }
-  if (last + 1 > started_hwm_) started_hwm_ = last + 1;
+  return inner;
 }
 
 void RsmReplica::record_commit(int slot, Value v, Round round) {
@@ -158,40 +190,28 @@ MessagePtr RsmReplica::message_for_round(Round k) {
 }
 
 void RsmReplica::on_round(Round k, const Delivery& delivered) {
-  const int last = last_started_slot(k);
   // This round's working set: the open slots plus any slot the send phase
-  // has not opened yet (possible when a crash swallowed the send) —
-  // ascending, since open slots all precede started_hwm_.
+  // has not opened yet (possible when a crash swallowed the send), which
+  // starts here unless a DECIDE notice already settles it — ascending,
+  // since open slots all precede started_hwm_.
+  const int first_new = started_hwm_;
   round_slots_.assign(open_.begin(), open_.end());
-  for (int slot = started_hwm_; slot <= last; ++slot) {
-    if (!log_[slot]) round_slots_.push_back(slot);
+  ensure_started(k, &delivered);
+  for (int slot = first_new; slot < started_hwm_; ++slot) {
+    round_slots_.push_back(slot);
   }
-  if (last + 1 > started_hwm_) started_hwm_ = last + 1;
 
   for (int slot : round_slots_) {
     if (log_[slot]) continue;  // already committed here
     const Round inner_round = k - slot_start(slot) + 1;
     if (inner_round < 1) continue;
-
-    // Project the bundle envelopes onto this slot.
-    Delivery inner;
-    for (const Envelope& env : delivered) {
-      const auto* bundle = env.as<RsmBundleMessage>();
-      if (!bundle) continue;
-      const MessagePtr* part = bundle->part(slot);
-      if (!part) continue;
-      const Round inner_send = env.send_round - slot_start(slot) + 1;
-      if (inner_send >= 1) {
-        inner.push_back(Envelope{env.sender, inner_send, *part});
-      }
-    }
+    const Delivery inner = slot_delivery(slot, delivered);
 
     // A DECIDE notice settles the slot even if our instance lags.
     if (auto d = find_decide_notice(inner)) {
       record_commit(slot, *d, k);
       continue;
     }
-    start_slot(slot);
     if (slots_[slot]->halted()) continue;
     slots_[slot]->on_round(inner_round, inner);
     if (auto d = slots_[slot]->decision()) record_commit(slot, *d, k);

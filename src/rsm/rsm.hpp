@@ -18,13 +18,23 @@
 //     default (forever) matches the original behavior, while long-running
 //     campaigns set a finite retention so per-round bundles stay O(active
 //     slots) rather than O(log length).
-//   * Command selection: every replica keeps a client-command queue; for a
-//     new slot it proposes its first command that is neither committed nor
-//     in flight; a command that loses its slot returns to the pool and is
-//     re-proposed later.  When the queue is empty the replica proposes
-//     kNoOpCommand.  A live client layer can replace the fixed queue with a
-//     pull-based RsmCommandSource and observe commits through an
-//     RsmCommitCallback (src/client builds on exactly this pair).
+//   * Command selection: every replica keeps a client-command queue.  When
+//     a burst opens it hands out its commands that are neither committed
+//     nor in flight (retries first, then fresh ones), one per slot, in an
+//     order of its own: first the burst's slots it OWNS (slot s belongs to
+//     replica s mod n, a Mencius-style rotation) in ascending order, then
+//     the burst's other slots from the far end.
+//     Under light load the replicas' proposals therefore land in disjoint
+//     slots and each commits when its slot first decides; under
+//     saturation every slot still gets several proposals and the
+//     min-estimate rule picks one.  A command is proposed only by its home
+//     replica and rides at most one live slot; one that loses its slot
+//     returns to the pool and is re-proposed in a later burst.  A slot
+//     left without a command proposes kNoOpCommand.  With slot_burst = 1
+//     the order covers one slot, i.e. plain ascending order.  A live
+//     client layer can replace the fixed queue with a pull-based
+//     RsmCommandSource and observe commits through an RsmCommitCallback
+//     (src/client builds on exactly this pair).
 //
 // The RSM never "decides" in the single-shot sense — drive the kernel with
 // stop_on_global_decision = false and query logs afterwards.
@@ -161,8 +171,14 @@ class RsmReplica : public RoundAlgorithm {
     return static_cast<Round>(slot / burst_) * window_ + 1;
   }
   int last_started_slot(Round k) const;
-  void ensure_started(Round k);
-  void start_slot(int slot);
+  /// Starts every slot due by round k (see "Command selection" above) and
+  /// advances started_hwm_.  With `delivered` (the lazy start in on_round),
+  /// a slot that a DECIDE notice in it already settles is skipped and pulls
+  /// no command.
+  void ensure_started(Round k, const Delivery* delivered = nullptr);
+  /// `delivered` projected onto `slot`'s instance: its part of each bundle,
+  /// with send rounds made slot-relative.
+  Delivery slot_delivery(int slot, const Delivery& delivered) const;
   Value next_command();
   void record_commit(int slot, Value v, Round round);
 

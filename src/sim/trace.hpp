@@ -110,6 +110,12 @@ class RunTrace {
   /// a-priori round number.
   void set_gst(Round k) { gst_ = k; }
 
+  /// Rebinds the timing model after recording, to judge a finished trace
+  /// under another model: a live run is ES by construction, and an SCS
+  /// algorithm owes its guarantees only to runs whose trace is also
+  /// SCS-valid.
+  void set_model(Model m) { model_ = m; }
+
   // --- raw access -------------------------------------------------------
 
   const SystemConfig& config() const { return config_; }

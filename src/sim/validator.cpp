@@ -108,32 +108,36 @@ class Checker {
     std::set<std::tuple<ProcessId, Round, ProcessId>> seen;
     std::map<std::pair<ProcessId, Round>, const DeliveryRecord*> first_copy;
     for (const DeliveryRecord& d : trace_.deliveries()) {
-      std::ostringstream who;
-      who << "message p" << d.sender << "->p" << d.receiver << " (sent@"
-          << d.send_round << ", recv@" << d.recv_round << ")";
+      // The violation prefix is built only when a check fails.
+      const auto who = [&d] {
+        return "message p" + std::to_string(d.sender) + "->p" +
+               std::to_string(d.receiver) + " (sent@" +
+               std::to_string(d.send_round) + ", recv@" +
+               std::to_string(d.recv_round) + ")";
+      };
       // A copy whose recorded emitter differs from its claimed sender is a
       // forgery; only a budgeted liar may be its emitter.
       if (d.origin >= 0 && d.origin != d.sender && !is_liar(d.origin)) {
-        fail(who.str() + " forged by unbudgeted p" + std::to_string(d.origin));
+        fail(who() + " forged by unbudgeted p" + std::to_string(d.origin));
       }
       if (d.recv_round < d.send_round) {
-        fail(who.str() + " received before being sent");
+        fail(who() + " received before being sent");
       }
       if (!completes_round(d.receiver, d.recv_round)) {
-        fail(who.str() + " received by a crashed process");
+        fail(who() + " received by a crashed process");
       }
       if (is_liar(d.emitter())) continue;  // budgeted: excused below here
       // (A budgeted liar may forge a copy in the receiver's own name and
       // route it through any fate, so the self-delivery timing rule only
       // binds honest emitters.)
       if (d.sender == d.receiver && d.recv_round != d.send_round) {
-        fail(who.str() + " self-delivery must be in-round");
+        fail(who() + " self-delivery must be in-round");
       }
       if (!sent_.count({d.sender, d.send_round})) {
-        fail(who.str() + " received without having been sent");
+        fail(who() + " received without having been sent");
       }
       if (!seen.insert({d.sender, d.send_round, d.receiver}).second) {
-        fail(who.str() + " received more than once");
+        fail(who() + " received more than once");
       }
       // Equivocation: one (sender, send round) broadcast must carry ONE
       // payload to every receiver.  Pointer equality first — the kernel

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+
 #include "consensus/hurfin_raynal.hpp"
 #include "core/af2.hpp"
 #include "core/at2.hpp"
@@ -159,6 +163,201 @@ TEST(RsmBurst, DeeperPipelineCommitsTheLogInFewerRounds) {
   const auto [parallel_finish, n2] = run_with_burst(kSlots);
   EXPECT_LT(parallel_finish, serial_finish)
       << "pipelining " << kSlots << " slots did not shorten the run";
+}
+
+// --- owner-first placement ------------------------------------------------
+//
+// n = 3 replicas of A_{t+2}+ff at window 1, with a 16-slot log opened as
+// one burst: every replica owns five or six of its slots, room for a
+// handful of commands, so a lightly loaded burst gets at most one proposal
+// per slot.
+
+constexpr int kLightSlots = 16;  // one burst
+
+RsmOptions light_burst_options() {
+  RsmOptions opt;
+  opt.num_slots = kLightSlots;
+  opt.slot_window = 1;
+  opt.slot_burst = kLightSlots;
+  return opt;
+}
+
+AlgorithmFactory ff_slots() {
+  At2Options ff;
+  ff.failure_free_opt = true;
+  return at2_factory(hurfin_raynal_factory(), ff);
+}
+
+KernelOptions light_burst_kernel() {
+  KernelOptions koptions;
+  koptions.model = Model::ES;
+  koptions.max_rounds = 12;
+  koptions.stop_on_global_decision = false;
+  return koptions;
+}
+
+const RsmReplica& replica_of(const AlgorithmInstances& instances,
+                             ProcessId pid) {
+  return dynamic_cast<const RsmReplica&>(*instances[pid]);
+}
+
+/// Command -> every slot of `replica`'s log that holds it (no-ops skipped).
+std::map<Value, std::vector<int>> command_slots(const RsmReplica& replica) {
+  std::map<Value, std::vector<int>> slots;
+  for (int slot = 0; slot < kLightSlots; ++slot) {
+    const std::optional<Value>& v = replica.log()[slot];
+    if (v && !is_rsm_noop(*v)) slots[*v].push_back(slot);
+  }
+  return slots;
+}
+
+TEST(RsmBurst, LightBurstCommitsEveryCommandInItsFirstBurst) {
+  // Three commands per replica (the kernel proposal and two fixed ones):
+  // owner-first placement puts all nine into distinct slots of burst 0,
+  // so each commits when its slot first decides — round 2 on the
+  // failure-free path.  Had every replica started from the burst's lowest
+  // slot, slots 0..2 would each commit one of three proposals and the six
+  // losers would miss round 2.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  auto streams = [](ProcessId id) {
+    return std::vector<Value>{100 + id, 200 + id};
+  };
+  AlgorithmInstances instances;
+  const RunResult r = run_and_check(
+      cfg, light_burst_kernel(),
+      rsm_factory(ff_slots(), streams, light_burst_options()),
+      distinct_proposals(cfg.n), failure_free_schedule(cfg), &instances);
+  ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
+
+  const std::set<Value> commands = {0, 1, 2, 100, 101, 102, 200, 201, 202};
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    const RsmReplica& replica = replica_of(instances, pid);
+    const auto slots = command_slots(replica);
+    EXPECT_EQ(slots.size(), commands.size()) << "p" << pid;
+    for (const auto& [cmd, where] : slots) {
+      EXPECT_TRUE(commands.contains(cmd)) << "p" << pid << " cmd " << cmd;
+      ASSERT_EQ(where.size(), 1u) << "p" << pid << " cmd " << cmd;
+      EXPECT_EQ(replica.commit_round(where[0]), 2)
+          << "p" << pid << " cmd " << cmd << " in slot " << where[0];
+    }
+  }
+}
+
+TEST(RsmBurst, LightBurstPullsAndCommitsEachIngestedCommandOnce) {
+  // Ingest mode: each replica pulls three commands from its own source.
+  // Every pull lands in a slot it owns, so no command loses and none is
+  // pulled twice or committed twice.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  struct Stub {
+    std::vector<Value> pending;
+    std::vector<Value> pulled;
+    std::map<Value, int> commits;
+  };
+  std::vector<Stub> stubs(cfg.n);
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    stubs[pid].pending = {1000 + pid, 2000 + pid, 3000 + pid};
+  }
+  const auto source_for = [&stubs](ProcessId pid) -> RsmCommandSource {
+    return [&stub = stubs[pid]]() -> std::optional<Value> {
+      if (stub.pulled.size() == stub.pending.size()) return std::nullopt;
+      stub.pulled.push_back(stub.pending[stub.pulled.size()]);
+      return stub.pulled.back();
+    };
+  };
+  const auto commit_for = [&stubs](ProcessId pid) -> RsmCommitCallback {
+    return [&stub = stubs[pid]](int, Value v, Round) {
+      if (!is_rsm_noop(v)) ++stub.commits[v];
+    };
+  };
+  AlgorithmInstances instances;
+  const RunResult r = run_and_check(
+      cfg, light_burst_kernel(),
+      rsm_ingest_factory(ff_slots(), source_for, commit_for,
+                         light_burst_options()),
+      std::vector<Value>(cfg.n, kNoOpCommand), failure_free_schedule(cfg),
+      &instances);
+  ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
+
+  std::map<Value, int> expected;
+  for (const Stub& stub : stubs) {
+    EXPECT_EQ(stub.pulled, stub.pending);
+    for (Value v : stub.pending) expected[v] = 1;
+  }
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    EXPECT_EQ(stubs[pid].commits, expected) << "p" << pid;
+    for (const auto& [cmd, where] :
+         command_slots(replica_of(instances, pid))) {
+      ASSERT_EQ(where.size(), 1u) << "p" << pid << " cmd " << cmd;
+      EXPECT_EQ(replica_of(instances, pid).commit_round(where[0]), 2)
+          << "p" << pid << " cmd " << cmd;
+    }
+  }
+}
+
+TEST(RsmBurst, LightBurstSurvivesACrashBeforeTheFirstSend) {
+  // p0 dies before sending round 1: its owned slots commit no-ops, the
+  // survivors' logs agree, and each survivor's command commits exactly
+  // once.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  auto streams = [](ProcessId id) {
+    return std::vector<Value>{100 + id, 200 + id};
+  };
+  ScheduleBuilder b(cfg);
+  b.crash(0, 1, /*before_send=*/true);
+  KernelOptions koptions = light_burst_kernel();
+  koptions.max_rounds = 40;
+  AlgorithmInstances instances;
+  const RunResult r = run_and_check(
+      cfg, koptions, rsm_factory(ff_slots(), streams, light_burst_options()),
+      distinct_proposals(cfg.n), b.build(), &instances);
+  ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
+
+  const RsmReplica& p1 = replica_of(instances, 1);
+  const RsmReplica& p2 = replica_of(instances, 2);
+  ASSERT_TRUE(p1.all_slots_committed());
+  ASSERT_TRUE(p2.all_slots_committed());
+  EXPECT_EQ(p1.log(), p2.log());
+  const auto slots = command_slots(p1);
+  for (Value cmd : {1, 2, 101, 102, 201, 202}) {
+    const auto it = slots.find(cmd);
+    ASSERT_NE(it, slots.end()) << "cmd " << cmd << " never committed";
+    EXPECT_EQ(it->second.size(), 1u) << "cmd " << cmd;
+  }
+}
+
+TEST(RsmBurst, LazyStartPullsNothingForSlotsADecideNoticeSettles) {
+  // on_round without a preceding send step starts the burst itself.  Slots
+  // 0 and 2 arrive already settled by p0's DECIDE notices, so p1 pulls
+  // only for its owned slot 1 and the far-end slot 3, and the settled
+  // slots commit in slot order.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  RsmOptions opt;
+  opt.num_slots = 4;
+  opt.slot_window = 1;
+  opt.slot_burst = 4;
+  RsmReplica replica(1, cfg, ff_slots(), {}, opt);
+  std::vector<Value> pulled;
+  replica.set_command_source([&pulled, next = Value{500}]() mutable {
+    pulled.push_back(next);
+    return std::optional<Value>(next++);
+  });
+  std::vector<int> committed_slots;
+  replica.set_commit_callback(
+      [&committed_slots](int slot, Value, Round) {
+        committed_slots.push_back(slot);
+      });
+
+  std::map<int, MessagePtr> parts;
+  parts[0] = std::make_shared<DecideMessage>(77);
+  parts[2] = std::make_shared<DecideMessage>(88);
+  const Delivery delivered = {
+      Envelope{0, 1, std::make_shared<RsmBundleMessage>(std::move(parts))}};
+  replica.on_round(1, delivered);
+
+  EXPECT_EQ(pulled, (std::vector<Value>{500, 501}));
+  EXPECT_EQ(committed_slots, (std::vector<int>{0, 2}));
+  EXPECT_EQ(replica.log()[0], std::optional<Value>(77));
+  EXPECT_EQ(replica.log()[2], std::optional<Value>(88));
 }
 
 TEST(RsmWindows, KernelProposalOfReservedValueIsSkipped) {
