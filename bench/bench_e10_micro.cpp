@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -72,18 +71,18 @@ namespace indulgence {
 namespace {
 
 /// A payload shaped like the RSM service's steady state: a slot bundle with
-/// two nested registry messages, so the codec benchmarks exercise the
-/// recursive encoder, not just a fixed-size struct copy.
+/// one running part and one inline DECIDE notice, so the codec benchmarks
+/// exercise the recursive encoder, not just a fixed-size struct copy.
 NetEnvelope representative_envelope() {
-  std::map<int, MessagePtr> parts;
-  parts[0] = std::make_shared<DecideMessage>(Value{4242});
-  parts[1] = std::make_shared<FloodEstimateMessage>(Value{7});
   NetEnvelope env;
   env.sender = 1;
   env.send_round = 5;
   env.target_round = 5;
   env.group = 3;
-  env.payload = std::make_shared<RsmBundleMessage>(std::move(parts));
+  env.payload = std::make_shared<RsmBundleMessage>(
+      std::vector<RsmBundleMessage::Part>{
+          {1, std::make_shared<FloodEstimateMessage>(Value{7})}},
+      std::vector<RsmBundleMessage::Notice>{{0, Value{4242}}});
   return env;
 }
 

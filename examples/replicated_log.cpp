@@ -7,6 +7,7 @@
 //   $ ./replicated_log
 
 #include <iostream>
+#include <optional>
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
@@ -82,11 +83,19 @@ int main() {
   std::cout << "committed log (slot: command @ commit round):\n";
   const auto* reference =
       dynamic_cast<const RsmReplica*>(instances[1].get());
+  // The log covers only the slots a replica started, so read past its end
+  // as uncommitted.
+  const auto entry = [](const RsmReplica& replica, int slot) {
+    const auto& log = replica.log();
+    return static_cast<std::size_t>(slot) < log.size()
+               ? log[static_cast<std::size_t>(slot)]
+               : std::nullopt;
+  };
   for (int slot = 0; slot < rsm_options.num_slots; ++slot) {
     std::cout << "  slot " << slot << ": ";
-    if (reference->log()[slot]) {
-      std::cout << render(*reference->log()[slot]) << " @ round "
-                << reference->commit_round(slot) << "\n";
+    if (const std::optional<Value> v = entry(*reference, slot)) {
+      std::cout << render(*v) << " @ round " << reference->commit_round(slot)
+                << "\n";
     } else {
       std::cout << "(uncommitted)\n";
     }
@@ -98,7 +107,7 @@ int main() {
     const auto* replica = dynamic_cast<const RsmReplica*>(instances[pid].get());
     bool same = replica->all_slots_committed();
     for (int slot = 0; slot < rsm_options.num_slots && same; ++slot) {
-      same = replica->log()[slot] == reference->log()[slot];
+      same = entry(*replica, slot) == entry(*reference, slot);
     }
     agree &= same;
     std::cout << "  p" << pid << ": "

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -175,8 +176,10 @@ int run_node(const DemoArgs& args) {
   const auto* rep = dynamic_cast<const RsmReplica*>(algorithm.get());
   std::ofstream committed(committed_path(args, self), std::ios::trunc);
   for (int s = 0; rep && s < kSlots; ++s) {
-    committed << rep->log()[static_cast<std::size_t>(s)].value_or(
-                     kNoOpCommand)
+    // The log covers only the slots this replica started.
+    const auto slot = static_cast<std::size_t>(s);
+    committed << (slot < rep->log().size() ? rep->log()[slot] : std::nullopt)
+                     .value_or(kNoOpCommand)
               << "\n";
   }
   if (!rep || !rep->all_slots_committed()) {

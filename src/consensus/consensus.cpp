@@ -2,10 +2,20 @@
 
 namespace indulgence {
 
+std::optional<Value> decide_notice_value(const Message& message) {
+  if (const auto* d = dynamic_cast<const DecideMessage*>(&message)) {
+    return d->value();
+  }
+  if (const auto* h = dynamic_cast<const HaltedMessage*>(&message)) {
+    return h->decision();
+  }
+  return std::nullopt;
+}
+
 std::optional<Value> find_decide_notice(const Delivery& delivery) {
   for (const Envelope& env : delivery) {
-    if (const auto* d = env.as<DecideMessage>()) return d->value();
-    if (const auto* h = env.as<HaltedMessage>()) return h->decision();
+    if (env.payload == nullptr) continue;
+    if (auto v = decide_notice_value(*env.payload)) return v;
   }
   return std::nullopt;
 }

@@ -109,8 +109,11 @@ class DecideMessage final : public Message {
   Value value_;
 };
 
-/// Scans a delivery for any decision notice (DecideMessage or the kernel's
-/// HaltedMessage dummy) and returns the carried value.
+/// The value one payload carries as a decision notice (a DecideMessage or
+/// the kernel's HaltedMessage dummy), or nullopt for any other payload.
+std::optional<Value> decide_notice_value(const Message& message);
+
+/// Scans a delivery for the first decision notice and returns its value.
 std::optional<Value> find_decide_notice(const Delivery& delivery);
 
 /// Footnote-1 dummy: sent when an algorithm has nothing to say in a round

@@ -1205,13 +1205,18 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
     ::shutdown(listen_fd_, SHUT_RDWR);
     close_all_inbound();
     if (accept_thread_.joinable()) accept_thread_.join();
+    // Join the readers with no lock held: a reader still parsing a buffered
+    // HELLO2 takes inbound_mutex_ to record the peer's groups, so joining
+    // under that lock could wait forever.  With the acceptor joined, no
+    // reader is added behind our back.
+    std::vector<std::unique_ptr<Inbound>> readers;
     {
       std::lock_guard<std::mutex> lock(inbound_mutex_);
-      for (auto& conn : inbound_) {
-        if (conn->thread.joinable()) conn->thread.join();
-        ::close(conn->fd);
-      }
-      inbound_.clear();
+      readers.swap(inbound_);
+    }
+    for (auto& conn : readers) {
+      if (conn->thread.joinable()) conn->thread.join();
+      ::close(conn->fd);
     }
   } else {
     stopping_.store(true, std::memory_order_release);

@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -140,23 +141,30 @@ void encode_message_at_depth(const Message& message, WireWriter& out,
     out.i32(m->stamp());
     out.i64(m->value());
   } else if (auto* m = dynamic_cast<const RsmBundleMessage*>(&message)) {
+    // One slot-ordered run of parts; an inline notice is written exactly as
+    // a DecideMessage part.
     out.u8(static_cast<std::uint8_t>(MessageTag::RsmBundle));
-    out.u32(static_cast<std::uint32_t>(m->parts().size()));
-    for (const auto& [slot, part] : m->parts()) {
-      out.i32(slot);
-      encode_message_at_depth(*part, out, depth + 1);
-    }
+    out.u32(static_cast<std::uint32_t>(m->size()));
+    m->for_each_slot(
+        [&](int slot, const MessagePtr& part) {
+          out.i32(slot);
+          encode_message_at_depth(*part, out, depth + 1);
+        },
+        [&](int slot, Value value) {
+          out.i32(slot);
+          encode_message_at_depth(DecideMessage(value), out, depth + 1);
+        });
   } else {
     throw std::invalid_argument("wire: unregistered message type: " +
                                 message.describe());
   }
 }
 
-MessagePtr decode_message_at_depth(WireReader& in, int depth) {
-  if (depth > kMaxNesting) return nullptr;
-  auto tag = in.u8();
-  if (!tag) return nullptr;
-  switch (static_cast<MessageTag>(*tag)) {
+MessagePtr decode_bundle(WireReader& in, int depth);
+
+/// Decodes the body of a message whose tag has been read.
+MessagePtr decode_body(std::uint8_t tag, WireReader& in, int depth) {
+  switch (static_cast<MessageTag>(tag)) {
     case MessageTag::Halted: {
       auto v = in.i64();
       return v ? std::make_shared<HaltedMessage>(*v) : nullptr;
@@ -229,20 +237,8 @@ MessagePtr decode_message_at_depth(WireReader& in, int depth) {
       if (inner == nullptr) return nullptr;
       return std::make_shared<At2UnderlyingMessage>(std::move(inner));
     }
-    case MessageTag::RsmBundle: {
-      auto count = in.u32();
-      if (!count) return nullptr;
-      if (*count > in.remaining() / kMinBundlePartBytes) return nullptr;
-      std::map<int, MessagePtr> parts;
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto slot = in.i32();
-        if (!slot) return nullptr;
-        MessagePtr part = decode_message_at_depth(in, depth + 1);
-        if (part == nullptr) return nullptr;
-        parts.emplace(*slot, std::move(part));
-      }
-      return std::make_shared<RsmBundleMessage>(std::move(parts));
-    }
+    case MessageTag::RsmBundle:
+      return decode_bundle(in, depth);
     case MessageTag::AuthPropose: {
       auto signer = in.i32();
       auto stamp = in.i32();
@@ -293,6 +289,87 @@ MessagePtr decode_message_at_depth(WireReader& in, int depth) {
     }
   }
   return nullptr;
+}
+
+MessagePtr decode_message_at_depth(WireReader& in, int depth) {
+  if (depth > kMaxNesting) return nullptr;
+  auto tag = in.u8();
+  if (!tag) return nullptr;
+  return decode_body(*tag, in, depth);
+}
+
+/// One decoded bundle part: a running message, or (message == nullptr) a
+/// DECIDE notice carrying `value`.
+struct BundleEntry {
+  int slot = 0;
+  MessagePtr message;
+  Value value = 0;
+};
+
+/// Decodes a bundle body.  A Decide-tagged part becomes an inline notice
+/// without allocating a DecideMessage.  A bundle whose slots are not
+/// strictly ascending (duplicated or descending) reads as a slot map
+/// filled in frame order: the first copy of a slot wins, and the parts come
+/// out in slot order.
+MessagePtr decode_bundle(WireReader& in, int depth) {
+  auto count = in.u32();
+  if (!count) return nullptr;
+  if (*count > in.remaining() / kMinBundlePartBytes) return nullptr;
+  // Parts decode onto a per-thread stack first, so the bundle's two lists
+  // are allocated once each, at their exact sizes.  A nested bundle (never
+  // sent, but decodable) stacks its parts above ours and pops them on
+  // return.
+  thread_local std::vector<BundleEntry> stack;
+  const std::size_t base = stack.size();
+  struct Pop {
+    std::size_t base;
+    ~Pop() { stack.resize(base); }
+  } pop{base};
+  bool ascending = true;
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    auto slot = in.i32();
+    if (!slot || depth + 1 > kMaxNesting) return nullptr;
+    auto tag = in.u8();
+    if (!tag) return nullptr;
+    BundleEntry entry{*slot, nullptr, 0};
+    if (*tag == static_cast<std::uint8_t>(MessageTag::Decide)) {
+      auto v = in.i64();
+      if (!v) return nullptr;
+      entry.value = *v;
+    } else {
+      entry.message = decode_body(*tag, in, depth + 1);
+      if (entry.message == nullptr) return nullptr;
+    }
+    if (stack.size() > base && stack.back().slot >= *slot) ascending = false;
+    stack.push_back(std::move(entry));
+  }
+  const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+  auto last = stack.end();
+  if (!ascending) {
+    const auto by_slot = [](const BundleEntry& a, const BundleEntry& b) {
+      return a.slot < b.slot;
+    };
+    std::stable_sort(first, last, by_slot);
+    last = std::unique(first, last,
+                       [](const BundleEntry& a, const BundleEntry& b) {
+                         return a.slot == b.slot;
+                       });
+  }
+  const auto notices = static_cast<std::size_t>(std::count_if(
+      first, last, [](const BundleEntry& e) { return e.message == nullptr; }));
+  std::vector<RsmBundleMessage::Part> running;
+  running.reserve(static_cast<std::size_t>(last - first) - notices);
+  std::vector<RsmBundleMessage::Notice> decided;
+  decided.reserve(notices);
+  for (auto it = first; it != last; ++it) {
+    if (it->message == nullptr) {
+      decided.push_back({it->slot, it->value});
+    } else {
+      running.push_back({it->slot, std::move(it->message)});
+    }
+  }
+  return std::make_shared<RsmBundleMessage>(std::move(running),
+                                            std::move(decided));
 }
 
 /// Appends `u32 body-len | u8 type | body` to `out` in place: the length

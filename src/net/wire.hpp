@@ -29,7 +29,10 @@
 // the machine form).  Nested payloads (A_{t+2}'s underlying wrapper, the
 // RSM bundle) recurse with a depth cap, so a corrupt or hostile frame can
 // neither recurse unboundedly nor allocate unboundedly: every decoder
-// checks remaining bytes before it trusts a count.
+// checks remaining bytes before it trusts a count.  An RSM bundle is one
+// slot-ordered run of parts: its inline DECIDE notices are written as
+// ordinary Decide-tagged parts, and every Decide-tagged part decodes back
+// into the bundle's notice list.
 //
 // Decoding never throws on malformed input from the wire; it returns
 // nullopt and the connection is treated as broken (the supervisor redials

@@ -7,15 +7,65 @@
 
 namespace indulgence {
 
+namespace {
+
+/// The entry of a slot-ascending list that holds `slot`, or nullptr.
+template <typename Entry>
+const Entry* find_slot(const std::vector<Entry>& entries, int slot) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), slot,
+      [](const Entry& entry, int s) { return entry.slot < s; });
+  return it != entries.end() && it->slot == slot ? &*it : nullptr;
+}
+
+}  // namespace
+
+RsmBundleMessage::RsmBundleMessage(std::vector<Part> running,
+                                   std::vector<Notice> notices)
+    : running_(std::move(running)), notices_(std::move(notices)) {
+  bool ordered = true;
+  std::optional<int> previous;
+  const auto check = [&](int slot) {
+    if (previous && slot <= *previous) ordered = false;
+    previous = slot;
+  };
+  for_each_slot(
+      [&](int slot, const MessagePtr& part) {
+        check(slot);
+        if (part == nullptr) ordered = false;
+      },
+      [&](int slot, Value) { check(slot); });
+  if (!ordered) {
+    throw std::invalid_argument(
+        "RsmBundleMessage: slots must be strictly ascending, disjoint "
+        "across running parts and notices, and every part non-null");
+  }
+}
+
+const MessagePtr* RsmBundleMessage::part(int slot) const {
+  const Part* p = find_slot(running_, slot);
+  return p ? &p->message : nullptr;
+}
+
+std::optional<Value> RsmBundleMessage::notice(int slot) const {
+  const Notice* d = find_slot(notices_, slot);
+  return d ? std::optional<Value>(d->value) : std::nullopt;
+}
+
 std::string RsmBundleMessage::describe() const {
   std::ostringstream os;
   os << "RSM{";
   bool first = true;
-  for (const auto& [slot, part] : parts_) {
+  const auto entry = [&](int slot, const std::string& part) {
     if (!first) os << ", ";
-    os << "s" << slot << ":" << part->describe();
+    os << "s" << slot << ":" << part;
     first = false;
-  }
+  };
+  for_each_slot(
+      [&](int slot, const MessagePtr& part) { entry(slot, part->describe()); },
+      [&](int slot, Value value) {
+        entry(slot, DecideMessage(value).describe());
+      });
   os << "}";
   return os.str();
 }
@@ -40,10 +90,6 @@ RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
   }
   window_ = options_.slot_window > 0 ? options_.slot_window : config.t + 3;
   burst_ = options_.slot_burst;
-  slots_.resize(options_.num_slots);
-  proposed_.resize(options_.num_slots);
-  log_.resize(options_.num_slots);
-  commit_rounds_.assign(options_.num_slots, 0);
   for (Value v : queue_) {
     if (v == kBottom || v == kNoOpCommand) {
       throw std::invalid_argument("RsmReplica: reserved command value");
@@ -89,22 +135,24 @@ Value RsmReplica::next_command() {
   return kNoOpCommand;
 }
 
-void RsmReplica::ensure_started(Round k, const Delivery* delivered) {
+void RsmReplica::ensure_started(Round k, bool settle) {
   const int last = last_started_slot(k);
-  if (last < started_hwm_) return;
+  const int first = started_hwm_;
+  if (last < first) return;
   // Hand out commands in placement order, burst by burst (started_hwm_ is
   // always a burst boundary): first the slots this replica owns, then the
   // rest of the burst from the far end.
   const int n = config_.n;
+  fresh_.assign(static_cast<std::size_t>(last - first + 1), std::nullopt);
   const auto place = [&](int slot) {
-    if (delivered && find_decide_notice(slot_delivery(slot, *delivered))) {
+    if (settle && scan_slot(slot, nullptr)) {
       return;  // settled: its instance would never run
     }
     const Value cmd = next_command();
-    proposed_[slot] = cmd;
+    fresh_[static_cast<std::size_t>(slot - first)] = cmd;
     if (cmd != kNoOpCommand) inflight_.insert(cmd);
   };
-  for (int lo = started_hwm_; lo <= last; lo += burst_) {
+  for (int lo = first; lo <= last; lo += burst_) {
     const int hi = std::min(lo + burst_ - 1, last);
     for (int slot = lo + (self_ - lo % n + n) % n; slot <= hi; slot += n) {
       place(slot);
@@ -115,107 +163,151 @@ void RsmReplica::ensure_started(Round k, const Delivery* delivered) {
   }
   // Instantiate in ascending order: every new slot lies above every open
   // one, so open_ stays sorted.
-  for (int slot = started_hwm_; slot <= last; ++slot) {
-    if (!proposed_[slot]) continue;
-    slots_[slot] = slot_factory_(self_, config_);
+  for (int slot = first; slot <= last; ++slot) {
+    const std::optional<Value>& cmd =
+        fresh_[static_cast<std::size_t>(slot - first)];
+    if (!cmd) continue;
+    OpenSlot open{slot, *cmd, slot_factory_(self_, config_)};
     // Consensus proposals must be comparable and non-reserved; no-ops are
     // encoded as a large sentinel that any proposal set tolerates.
-    slots_[slot]->propose(*proposed_[slot] == kNoOpCommand
-                              ? std::numeric_limits<Value>::max() - self_
-                              : *proposed_[slot]);
-    open_.push_back(slot);
+    open.instance->propose(*cmd == kNoOpCommand
+                               ? std::numeric_limits<Value>::max() - self_
+                               : *cmd);
+    open_.push_back(std::move(open));
   }
   started_hwm_ = last + 1;
+  log_.resize(static_cast<std::size_t>(started_hwm_));
+  commit_rounds_.resize(static_cast<std::size_t>(started_hwm_), 0);
 }
 
-Delivery RsmReplica::slot_delivery(int slot, const Delivery& delivered) const {
-  Delivery inner;
-  for (const Envelope& env : delivered) {
-    const auto* bundle = env.as<RsmBundleMessage>();
-    if (!bundle) continue;
-    const MessagePtr* part = bundle->part(slot);
-    if (!part) continue;
-    const Round inner_send = env.send_round - slot_start(slot) + 1;
-    if (inner_send >= 1) {
-      inner.push_back(Envelope{env.sender, inner_send, *part});
+std::optional<Value> RsmReplica::scan_slot(int slot, Delivery* inner) const {
+  const Round start = slot_start(slot);
+  for (const Heard& heard : heard_) {
+    if (heard.send_round < start) continue;  // sent before the slot began
+    if (auto d = heard.bundle->notice(slot)) return d;
+    const MessagePtr* part = heard.bundle->part(slot);
+    if (part == nullptr) continue;
+    if (auto d = decide_notice_value(**part)) return d;
+    if (inner != nullptr) {
+      inner->push_back(
+          Envelope{heard.sender, heard.send_round - start + 1, *part});
     }
   }
-  return inner;
+  return std::nullopt;
+}
+
+std::vector<RsmReplica::OpenSlot>::iterator RsmReplica::find_open(int slot) {
+  const auto it = std::lower_bound(
+      open_.begin(), open_.end(), slot,
+      [](const OpenSlot& open, int s) { return open.slot < s; });
+  return it != open_.end() && it->slot == slot ? it : open_.end();
 }
 
 void RsmReplica::record_commit(int slot, Value v, Round round) {
-  if (log_[slot]) return;
-  log_[slot] = v;
-  commit_rounds_[slot] = round;
+  auto& entry = log_[static_cast<std::size_t>(slot)];
+  if (entry) return;
+  entry = v;
+  commit_rounds_[static_cast<std::size_t>(slot)] = round;
   committed_values_.insert(v);
   ++committed_count_;
-  if (proposed_[slot] && *proposed_[slot] != kNoOpCommand) {
-    // Either way the command is no longer riding this slot; if ours lost,
-    // it returns to the pool (ingest mode re-queues it explicitly — the
-    // fixed queue never consumed it in the first place).
-    inflight_.erase(*proposed_[slot]);
-    if (source_ && *proposed_[slot] != v) queue_.push_front(*proposed_[slot]);
+  const auto open = find_open(slot);
+  if (open != open_.end()) {
+    if (open->proposal != kNoOpCommand) {
+      // Either way the command is no longer riding this slot; if ours
+      // lost, it returns to the pool (ingest mode re-queues it explicitly
+      // — the fixed queue never consumed it in the first place).
+      inflight_.erase(open->proposal);
+      if (source_ && open->proposal != v) queue_.push_front(open->proposal);
+    }
+    // The slot's consensus instance is settled; free it so a long log does
+    // not hold every instance alive.
+    open_.erase(open);
   }
-  retained_.push_back(Retained{
-      slot, options_.decide_retention > 0 ? round + options_.decide_retention
-                                          : 0});
-  while (prefix_ < options_.num_slots && log_[prefix_]) ++prefix_;
-  // The slot's consensus instance is settled; free it so a long log does
-  // not hold every instance alive.
-  slots_[slot].reset();
-  const auto it = std::find(open_.begin(), open_.end(), slot);
-  if (it != open_.end()) open_.erase(it);
+  const Round until =
+      options_.decide_retention > 0 ? round + options_.decide_retention : 0;
+  retained_.insert(
+      std::upper_bound(retained_.begin(), retained_.end(), slot,
+                       [](int s, const Retained& r) { return s < r.slot; }),
+      Retained{slot, until});
+  while (prefix_ < static_cast<int>(log_.size()) &&
+         log_[static_cast<std::size_t>(prefix_)]) {
+    ++prefix_;
+  }
   if (commit_callback_) commit_callback_(slot, v, round);
 }
 
 MessagePtr RsmReplica::message_for_round(Round k) {
   ensure_started(k);
-  while (!retained_.empty() && retained_.front().until != 0 &&
-         k > retained_.front().until) {
-    retained_.pop_front();
+  if (options_.decide_retention > 0) {
+    std::erase_if(retained_, [k](const Retained& r) { return k > r.until; });
   }
-  std::map<int, MessagePtr> parts;
+  // Keep broadcasting outcomes so every replica catches up.
+  std::vector<RsmBundleMessage::Notice> notices;
+  notices.reserve(retained_.size());
   for (const Retained& r : retained_) {
-    // Keep broadcasting the outcome so every replica catches up.
-    parts[r.slot] = std::make_shared<DecideMessage>(*log_[r.slot]);
+    notices.push_back({r.slot, *log_[static_cast<std::size_t>(r.slot)]});
   }
-  for (int slot : open_) {
-    if (slots_[slot]->halted()) {
-      parts[slot] = std::make_shared<DecideMessage>(*slots_[slot]->decision());
+  std::vector<RsmBundleMessage::Part> running;
+  running.reserve(open_.size());
+  for (const OpenSlot& open : open_) {
+    if (open.instance->halted()) {
+      const RsmBundleMessage::Notice notice{open.slot,
+                                            *open.instance->decision()};
+      notices.insert(
+          std::upper_bound(notices.begin(), notices.end(), open.slot,
+                           [](int s, const RsmBundleMessage::Notice& d) {
+                             return s < d.slot;
+                           }),
+          notice);
       continue;
     }
-    parts[slot] = slots_[slot]->message_for_round(k - slot_start(slot) + 1);
+    running.push_back(
+        {open.slot,
+         open.instance->message_for_round(k - slot_start(open.slot) + 1)});
   }
-  return std::make_shared<RsmBundleMessage>(std::move(parts));
+  return std::make_shared<RsmBundleMessage>(std::move(running),
+                                            std::move(notices));
 }
 
 void RsmReplica::on_round(Round k, const Delivery& delivered) {
+  heard_.clear();
+  for (const Envelope& env : delivered) {
+    if (const auto* bundle = env.as<RsmBundleMessage>()) {
+      heard_.push_back(Heard{env.sender, env.send_round, bundle});
+    }
+  }
   // This round's working set: the open slots plus any slot the send phase
   // has not opened yet (possible when a crash swallowed the send), which
   // starts here unless a DECIDE notice already settles it — ascending,
   // since open slots all precede started_hwm_.
   const int first_new = started_hwm_;
-  round_slots_.assign(open_.begin(), open_.end());
-  ensure_started(k, &delivered);
+  round_slots_.clear();
+  for (const OpenSlot& open : open_) round_slots_.push_back(open.slot);
+  ensure_started(k, /*settle=*/true);
   for (int slot = first_new; slot < started_hwm_; ++slot) {
     round_slots_.push_back(slot);
   }
 
   for (int slot : round_slots_) {
-    if (log_[slot]) continue;  // already committed here
+    if (log_[static_cast<std::size_t>(slot)]) continue;  // committed here
     const Round inner_round = k - slot_start(slot) + 1;
     if (inner_round < 1) continue;
-    const Delivery inner = slot_delivery(slot, delivered);
-
+    inner_.clear();
     // A DECIDE notice settles the slot even if our instance lags.
-    if (auto d = find_decide_notice(inner)) {
+    if (auto d = scan_slot(slot, &inner_)) {
       record_commit(slot, *d, k);
       continue;
     }
-    if (slots_[slot]->halted()) continue;
-    slots_[slot]->on_round(inner_round, inner);
-    if (auto d = slots_[slot]->decision()) record_commit(slot, *d, k);
+    // Every unsettled slot here is open: a new slot skips its start only
+    // when this same delivery settles it.
+    RoundAlgorithm& instance = *find_open(slot)->instance;
+    if (instance.halted()) continue;
+    instance.on_round(inner_round, inner_);
+    if (auto d = instance.decision()) record_commit(slot, *d, k);
   }
+  // Hold no payload past the round.
+  inner_.clear();
+  heard_.clear();
 }
 
 AlgorithmFactory rsm_factory(

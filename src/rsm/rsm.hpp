@@ -11,13 +11,24 @@
 //     window = 1 and the failure-free-optimized A_{t+2}, a synchronous
 //     failure-free run commits one command per round after a 2-round
 //     warm-up.
-//   * Each round a replica broadcasts a bundle holding one part per active
-//     slot: the slot algorithm's message, or a DECIDE notice once the
-//     replica knows the slot's outcome (so slow replicas always catch up).
-//     `decide_retention` bounds how long outcomes are re-broadcast; the
-//     default (forever) matches the original behavior, while long-running
-//     campaigns set a finite retention so per-round bundles stay O(active
-//     slots) rather than O(log length).
+//   * Each round a replica broadcasts a bundle holding one entry per active
+//     slot: the slot algorithm's message for a running slot, or an inline
+//     DECIDE notice (slot, value) once the replica knows the slot's outcome
+//     (so slow replicas always catch up).  The bundle is two flat,
+//     slot-ascending vectors — running parts and notices — so a notice
+//     costs 16 bytes and no allocation of its own; on the wire a notice is
+//     exactly a DecideMessage part.  A receiver settles a slot with the
+//     first notice it reads, in delivery order, from a bundle sent at or
+//     after the slot's start.  `decide_retention` bounds how long outcomes
+//     are re-broadcast; the default (forever) matches the original
+//     behavior, while long-running campaigns set a finite retention so
+//     per-round bundles stay O(active slots) rather than O(log length).
+//   * Per-slot state lives only while a slot is open: a slot's instance and
+//     our proposal for it are created when the slot starts and freed when
+//     it commits.  log() and the commit rounds grow as slots start, so a
+//     replica's memory follows the slots the run touched; `num_slots` caps
+//     the log rather than reserving it (a slot past log().size() has not
+//     started here).
 //   * Command selection: every replica keeps a client-command queue.  When
 //     a burst opens it hands out its commands that are neither committed
 //     nor in flight (retries first, then fresh ones), one per slot, in an
@@ -44,7 +55,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -78,7 +89,8 @@ using RsmCommitCallback =
     std::function<void(int slot, Value value, Round round)>;
 
 struct RsmOptions {
-  int num_slots = 8;     ///< how many log positions to run
+  int num_slots = 8;     ///< the most log positions to run (a cap: nothing
+                         ///< is reserved for slots that never start)
   Round slot_window = 0; ///< rounds between slot starts; 0 means t + 3
                          ///< (A_{t+2}'s synchronous worst case, no overlap)
   int slot_burst = 1;    ///< slots opened together per window step: burst b
@@ -94,23 +106,60 @@ struct RsmOptions {
                                ///< value suffices once bounds hold.
 };
 
-/// The per-round bundle: one part per active slot.
+/// The per-round bundle: one entry per active slot, either the running
+/// slot algorithm's message or an inline DECIDE notice.  Both lists are
+/// strictly slot-ascending and no slot appears in both.  On the wire a
+/// notice is exactly a DecideMessage part, so the encoding and describe()
+/// read as one slot-ordered map of parts.
 class RsmBundleMessage final : public Message {
  public:
-  explicit RsmBundleMessage(std::map<int, MessagePtr> parts)
-      : parts_(std::move(parts)) {}
+  struct Part {
+    int slot = 0;
+    MessagePtr message;
+  };
+  struct Notice {
+    int slot = 0;
+    Value value = 0;
+  };
 
-  const std::map<int, MessagePtr>& parts() const { return parts_; }
+  /// Throws std::invalid_argument unless the slots are strictly ascending
+  /// within each list and disjoint across them.
+  RsmBundleMessage(std::vector<Part> running, std::vector<Notice> notices);
 
-  const MessagePtr* part(int slot) const {
-    auto it = parts_.find(slot);
-    return it == parts_.end() ? nullptr : &it->second;
+  const std::vector<Part>& running() const { return running_; }
+  const std::vector<Notice>& notices() const { return notices_; }
+
+  /// Number of slots the bundle covers (running parts plus notices).
+  std::size_t size() const { return running_.size() + notices_.size(); }
+
+  /// Calls `on_running(slot, message)` or `on_notice(slot, value)` for
+  /// every entry, in ascending slot order.
+  template <typename RunningFn, typename NoticeFn>
+  void for_each_slot(RunningFn&& on_running, NoticeFn&& on_notice) const {
+    auto r = running_.begin();
+    auto d = notices_.begin();
+    while (r != running_.end() || d != notices_.end()) {
+      if (d == notices_.end() || (r != running_.end() && r->slot < d->slot)) {
+        on_running(r->slot, r->message);
+        ++r;
+      } else {
+        on_notice(d->slot, d->value);
+        ++d;
+      }
+    }
   }
+
+  /// The slot's running part, or nullptr.
+  const MessagePtr* part(int slot) const;
+
+  /// The slot's inline DECIDE notice, or nullopt.
+  std::optional<Value> notice(int slot) const;
 
   std::string describe() const override;
 
  private:
-  std::map<int, MessagePtr> parts_;
+  std::vector<Part> running_;
+  std::vector<Notice> notices_;
 };
 
 class RsmReplica : public RoundAlgorithm {
@@ -150,6 +199,7 @@ class RsmReplica : public RoundAlgorithm {
   // --- log access ----------------------------------------------------------
 
   /// log()[s] holds slot s's committed command once known to this replica.
+  /// The log covers the slots started so far, at most num_slots of them.
   const std::vector<std::optional<Value>>& log() const { return log_; }
 
   /// Number of leading slots committed at this replica (O(1): maintained
@@ -162,25 +212,27 @@ class RsmReplica : public RoundAlgorithm {
   long committed_count() const { return committed_count_; }
 
   /// Round at which this replica learned slot s (0 if not yet).
-  Round commit_round(int slot) const { return commit_rounds_[slot]; }
+  Round commit_round(int slot) const {
+    return slot >= 0 && slot < static_cast<int>(commit_rounds_.size())
+               ? commit_rounds_[static_cast<std::size_t>(slot)]
+               : 0;
+  }
 
  private:
-  /// Round 1 of slot s.  Slots in the same burst share a start round, so a
-  /// burst of b commits b commands per window of rounds once warmed up.
-  Round slot_start(int slot) const {
-    return static_cast<Round>(slot / burst_) * window_ + 1;
-  }
-  int last_started_slot(Round k) const;
-  /// Starts every slot due by round k (see "Command selection" above) and
-  /// advances started_hwm_.  With `delivered` (the lazy start in on_round),
-  /// a slot that a DECIDE notice in it already settles is skipped and pulls
-  /// no command.
-  void ensure_started(Round k, const Delivery* delivered = nullptr);
-  /// `delivered` projected onto `slot`'s instance: its part of each bundle,
-  /// with send rounds made slot-relative.
-  Delivery slot_delivery(int slot, const Delivery& delivered) const;
-  Value next_command();
-  void record_commit(int slot, Value v, Round round);
+  /// A started, uncommitted slot: the only state a slot holds while its
+  /// instance runs (freed at commit).
+  struct OpenSlot {
+    int slot = 0;
+    Value proposal = kNoOpCommand;  ///< ours for this slot
+    std::unique_ptr<RoundAlgorithm> instance;
+  };
+
+  /// One bundle delivered this round.
+  struct Heard {
+    ProcessId sender = -1;
+    Round send_round = 0;
+    const RsmBundleMessage* bundle = nullptr;
+  };
 
   /// A committed slot whose DECIDE notice is still riding the bundle;
   /// `until` = 0 means forever.
@@ -188,6 +240,28 @@ class RsmReplica : public RoundAlgorithm {
     int slot = 0;
     Round until = 0;
   };
+
+  /// Round 1 of slot s.  Slots in the same burst share a start round, so a
+  /// burst of b commits b commands per window of rounds once warmed up.
+  Round slot_start(int slot) const {
+    return static_cast<Round>(slot / burst_) * window_ + 1;
+  }
+  int last_started_slot(Round k) const;
+  /// Starts every slot due by round k (see "Command selection" above),
+  /// advances started_hwm_ and grows the log to cover it.  With `settle`
+  /// (the lazy start in on_round), a slot that a DECIDE notice in this
+  /// round's bundles already settles is skipped and pulls no command.
+  void ensure_started(Round k, bool settle = false);
+  /// Reads `slot` from this round's bundles (heard_) in delivery order,
+  /// counting only bundles sent at or after the slot's start.  Returns the
+  /// first DECIDE notice (inline, or a running DECIDE/HALTED part) — the
+  /// first-wins rule of find_decide_notice; until one shows up, appends the
+  /// slot's running parts to `inner` (if given) with slot-relative send
+  /// rounds.
+  std::optional<Value> scan_slot(int slot, Delivery* inner) const;
+  std::vector<OpenSlot>::iterator find_open(int slot);
+  Value next_command();
+  void record_commit(int slot, Value v, Round round);
 
   AlgorithmFactory slot_factory_;
   std::deque<Value> queue_;
@@ -197,22 +271,24 @@ class RsmReplica : public RoundAlgorithm {
   Round window_ = 1;
   int burst_ = 1;
 
-  std::vector<std::unique_ptr<RoundAlgorithm>> slots_;  ///< index = slot
-  std::vector<std::optional<Value>> proposed_;          ///< ours, per slot
-  std::vector<std::optional<Value>> log_;
-  std::vector<Round> commit_rounds_;
+  std::vector<std::optional<Value>> log_;  ///< index = slot, < started_hwm_
+  std::vector<Round> commit_rounds_;       ///< index = slot, < started_hwm_
   std::set<Value> committed_values_;
   std::set<Value> inflight_;
 
   /// Started-but-uncommitted slots, ascending — the per-round working set.
-  std::vector<int> open_;
-  std::vector<int> round_slots_;  ///< scratch for on_round's iteration
-  /// Committed slots still re-broadcasting DECIDE, in commit order (so
-  /// expiry pruning pops from the front).
-  std::deque<Retained> retained_;
+  std::vector<OpenSlot> open_;
+  /// Committed slots still re-broadcasting DECIDE, ascending by slot.
+  std::vector<Retained> retained_;
   int started_hwm_ = 0;  ///< every slot below is started or committed
   int prefix_ = 0;       ///< cached committed_prefix()
   long committed_count_ = 0;
+
+  // Scratch reused across rounds.
+  std::vector<int> round_slots_;            ///< on_round's iteration order
+  std::vector<Heard> heard_;                ///< this round's bundles
+  std::vector<std::optional<Value>> fresh_; ///< proposals of slots starting
+  Delivery inner_;                          ///< one slot's running parts
 
   ProcessId self_;
   SystemConfig config_;

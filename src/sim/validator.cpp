@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace indulgence {
 
@@ -68,6 +69,16 @@ class Checker {
     }
     for (const DeliveryRecord& d : trace_.deliveries()) {
       delivered_.insert({{d.sender, d.send_round}, d.receiver});
+      if (d.recv_round != d.send_round || !indexed(d.recv_round, d.receiver)) {
+        continue;
+      }
+      if (d.sender < 0 || d.sender >= kMaxProcesses) {
+        scan_only_ = true;  // no ProcessSet holds it; let the scans judge
+        continue;
+      }
+      const std::size_t cell = cell_of(d.recv_round, d.receiver);
+      if (cell >= in_round_.size()) in_round_.resize(cell + 1);
+      in_round_[cell].insert(d.sender);
     }
     for (const PendingRecord& p : trace_.pending()) {
       pending_.insert({{p.sender, p.send_round}, p.receiver});
@@ -216,8 +227,40 @@ class Checker {
     }
   }
 
+  /// (round, receiver) pairs the in-round index covers: the executed
+  /// rounds and the configured processes.
+  bool indexed(Round k, ProcessId receiver) const {
+    return k >= 1 && k <= trace_.rounds_executed() && receiver >= 0 &&
+           receiver < trace_.config().n;
+  }
+
+  std::size_t cell_of(Round k, ProcessId receiver) const {
+    return static_cast<std::size_t>(k - 1) *
+               static_cast<std::size_t>(trace_.config().n) +
+           static_cast<std::size_t>(receiver);
+  }
+
+  /// RunTrace::in_round_senders, answered from the index when it covers
+  /// the query.
+  ProcessSet in_round_senders(ProcessId receiver, Round k) const {
+    if (scan_only_ || !indexed(k, receiver)) {
+      return trace_.in_round_senders(receiver, k);
+    }
+    const std::size_t cell = cell_of(k, receiver);
+    return cell < in_round_.size() ? in_round_[cell] : ProcessSet{};
+  }
+
   bool delivered_in_round(ProcessId sender, Round round,
                           ProcessId receiver) const {
+    if (scan_only_ || !indexed(round, receiver)) {
+      return delivered_in_round_scan(sender, round, receiver);
+    }
+    return sender >= 0 && sender < kMaxProcesses &&
+           in_round_senders(receiver, round).contains(sender);
+  }
+
+  bool delivered_in_round_scan(ProcessId sender, Round round,
+                               ProcessId receiver) const {
     for (const DeliveryRecord& d : trace_.deliveries()) {
       if (d.sender == sender && d.send_round == round &&
           d.receiver == receiver && d.recv_round == round) {
@@ -233,7 +276,7 @@ class Checker {
       for (ProcessId r = 0; r < cfg.n; ++r) {
         if (!completes_round(r, k)) continue;
         if (is_liar(r)) continue;  // the model owes liars nothing
-        const ProcessSet heard = trace_.in_round_senders(r, k);
+        const ProcessSet heard = in_round_senders(r, k);
         const int got = heard.size();
         // A silent liar may withhold its copy without spending a crash:
         // the resilience floor only binds what HONEST senders deliver.
@@ -272,6 +315,14 @@ class Checker {
   std::set<std::pair<ProcessId, Round>> sent_;
   std::set<std::pair<std::pair<ProcessId, Round>, ProcessId>> delivered_;
   std::set<std::pair<std::pair<ProcessId, Round>, ProcessId>> pending_;
+  /// Senders of round-k copies that receiver r got in round k, at cell
+  /// (k - 1) * n + r; cells past the end are empty.  Built in one pass, so
+  /// the synchrony and resilience checks cost O(1) per query instead of a
+  /// scan of every delivery.
+  std::vector<ProcessSet> in_round_;
+  /// Set when an in-round copy names a sender no ProcessSet can hold; the
+  /// queries then fall back to the scans, which judge it as before.
+  bool scan_only_ = false;
 };
 
 }  // namespace

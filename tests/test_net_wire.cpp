@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "consensus/amr_leader.hpp"
@@ -66,11 +66,11 @@ TEST(WireCodec, EveryRegisteredMessageTypeRoundTrips) {
   expect_roundtrip(At2NewEstimateMessage(kBottom));
   expect_roundtrip(
       At2UnderlyingMessage(std::make_shared<HrCoordMessage>(99)));
-  std::map<int, MessagePtr> parts;
-  parts.emplace(0, std::make_shared<CtProposeMessage>(1));
-  parts.emplace(3, std::make_shared<At2UnderlyingMessage>(
-                       std::make_shared<FloodEstimateMessage>(2)));
-  expect_roundtrip(RsmBundleMessage(std::move(parts)));
+  expect_roundtrip(RsmBundleMessage(
+      {{0, std::make_shared<CtProposeMessage>(1)},
+       {3, std::make_shared<At2UnderlyingMessage>(
+               std::make_shared<FloodEstimateMessage>(2))}},
+      {}));
   expect_roundtrip(AuthProposeMessage(2, 7, 2, 33, 1, 33,
                                       ProcessSet::from_mask(0b1101)));
   expect_roundtrip(AuthProposeMessage(0, 1, 0, 5, -1, kBottom, ProcessSet()));
@@ -144,6 +144,114 @@ TEST(WireCodec, BundleCountIsLengthCheckedBeforeAllocation) {
   w.i32(1);
   WireReader r(w.bytes().data(), w.bytes().size());
   EXPECT_EQ(decode_message(r), nullptr);
+}
+
+// A bundle mixing running parts (one of them a DecideMessage, one a
+// HaltedMessage) with inline DECIDE notices.  Its bytes and describe() are
+// the ones a slot-keyed map of the same parts produced, so frames, shipped
+// logs and trace strings did not change with the flat layout.
+RsmBundleMessage mixed_bundle() {
+  return RsmBundleMessage(
+      {{1, std::make_shared<At2EstimateMessage>(17,
+                                                ProcessSet::from_mask(0b110))},
+       {2, std::make_shared<DecideMessage>(-3)},
+       {4, std::make_shared<HaltedMessage>(9)},
+       {7, std::make_shared<At2UnderlyingMessage>(
+               std::make_shared<HrCoordMessage>(99))}},
+      {{0, 5}, {5, 7}});
+}
+
+const std::vector<std::uint8_t> kMixedBundleBytes = {
+    0x11, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x05, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x0e, 0x11,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0xfd, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0x04, 0x00, 0x00, 0x00, 0x01, 0x09, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x02, 0x07, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x10, 0x05,
+    0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+
+constexpr const char* kMixedBundleDescribe =
+    "RSM{s0:DECIDE(5), s1:ESTIMATE(est=17, halt={p1, p2}), s2:DECIDE(-3), "
+    "s4:HALTED(decided=9), s5:DECIDE(7), s7:C[HR-COORD(99)]}";
+
+TEST(WireCodec, MixedBundleKeepsItsGoldenBytesAndDescribe) {
+  const RsmBundleMessage bundle = mixed_bundle();
+  EXPECT_EQ(bundle.describe(), kMixedBundleDescribe);
+  WireWriter w;
+  encode_message(bundle, w);
+  EXPECT_EQ(w.bytes(), kMixedBundleBytes);
+
+  // Decoding turns every Decide-tagged part into an inline notice, and the
+  // decoded bundle re-encodes to the same bytes.
+  WireReader r(kMixedBundleBytes.data(), kMixedBundleBytes.size());
+  const MessagePtr decoded = decode_message(r);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(decoded->describe(), kMixedBundleDescribe);
+  const auto* flat = dynamic_cast<const RsmBundleMessage*>(decoded.get());
+  ASSERT_NE(flat, nullptr);
+  std::vector<int> notice_slots;
+  for (const auto& notice : flat->notices()) {
+    notice_slots.push_back(notice.slot);
+  }
+  EXPECT_EQ(notice_slots, (std::vector<int>{0, 2, 5}));
+  EXPECT_EQ(flat->running().size(), 3u);
+  WireWriter again;
+  encode_message(*decoded, again);
+  EXPECT_EQ(again.bytes(), kMixedBundleBytes);
+}
+
+/// Decodes a hand-built bundle body and checks it against the bundle a
+/// slot-keyed map built from the same frame (first copy of a slot wins,
+/// parts in slot order): its describe() and its re-encoding.
+void expect_bundle_decodes_as(const std::vector<std::uint8_t>& frame,
+                              const std::string& describe,
+                              const std::vector<std::uint8_t>& reencoded) {
+  WireReader r(frame.data(), frame.size());
+  const MessagePtr decoded = decode_message(r);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(decoded->describe(), describe);
+  WireWriter w;
+  encode_message(*decoded, w);
+  EXPECT_EQ(w.bytes(), reencoded);
+}
+
+TEST(WireCodec, BundleWithDuplicateSlotsKeepsTheFirstCopy) {
+  // s1 FILLER, s1 DECIDE(5), s3 DECIDE(8), s3 HALTED(2): the first copy of
+  // each slot wins, whether it is a running part or a notice.
+  expect_bundle_decodes_as(
+      {0x11, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x01,
+       0x00, 0x00, 0x00, 0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00,
+       0x00, 0x00, 0x00, 0x00, 0x00},
+      "RSM{s1:FILLER, s3:DECIDE(8)}",
+      {0x11, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x03,
+       0x00, 0x00, 0x00, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00});
+}
+
+TEST(WireCodec, BundleWithDescendingSlotsDecodesInSlotOrder) {
+  // s6 DECIDE(4), s2 FLOOD-EST(11), s0 DECIDE(-1).
+  expect_bundle_decodes_as(
+      {0x11, 0x03, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x02, 0x04,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+       0x04, 0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x00, 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+      "RSM{s0:DECIDE(-1), s2:FLOOD-EST(11), s6:DECIDE(4)}",
+      {0x11, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xff,
+       0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00, 0x00, 0x00,
+       0x04, 0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00,
+       0x00, 0x00, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00});
+}
+
+TEST(WireCodec, TruncatedMixedBundleDecodesToNull) {
+  for (std::size_t cut = 0; cut < kMixedBundleBytes.size(); ++cut) {
+    WireReader r(kMixedBundleBytes.data(), cut);
+    EXPECT_EQ(decode_message(r), nullptr) << "prefix length " << cut;
+  }
 }
 
 TEST(WireCodec, EncodingAnUnregisteredTypeThrows) {
@@ -515,11 +623,12 @@ std::vector<MessagePtr> registry_samples() {
   all.push_back(std::make_shared<At2NewEstimateMessage>(kBottom));
   all.push_back(std::make_shared<At2UnderlyingMessage>(
       std::make_shared<HrCoordMessage>(99)));
-  std::map<int, MessagePtr> parts;
-  parts.emplace(0, std::make_shared<CtProposeMessage>(1));
-  parts.emplace(3, std::make_shared<At2UnderlyingMessage>(
-                       std::make_shared<FloodEstimateMessage>(2)));
-  all.push_back(std::make_shared<RsmBundleMessage>(std::move(parts)));
+  all.push_back(std::make_shared<RsmBundleMessage>(
+      std::vector<RsmBundleMessage::Part>{
+          {0, std::make_shared<CtProposeMessage>(1)},
+          {3, std::make_shared<At2UnderlyingMessage>(
+                  std::make_shared<FloodEstimateMessage>(2))}},
+      std::vector<RsmBundleMessage::Notice>{}));
   all.push_back(std::make_shared<AuthProposeMessage>(
       2, 7, 2, 33, 1, 33, ProcessSet::from_mask(0b1101)));
   all.push_back(std::make_shared<AuthPrepareMessage>(1, 8, 2, kBottom));

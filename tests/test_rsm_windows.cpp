@@ -347,17 +347,68 @@ TEST(RsmBurst, LazyStartPullsNothingForSlotsADecideNoticeSettles) {
         committed_slots.push_back(slot);
       });
 
-  std::map<int, MessagePtr> parts;
-  parts[0] = std::make_shared<DecideMessage>(77);
-  parts[2] = std::make_shared<DecideMessage>(88);
   const Delivery delivered = {
-      Envelope{0, 1, std::make_shared<RsmBundleMessage>(std::move(parts))}};
+      Envelope{0, 1,
+               std::make_shared<RsmBundleMessage>(
+                   std::vector<RsmBundleMessage::Part>{},
+                   std::vector<RsmBundleMessage::Notice>{{0, 77}, {2, 88}})}};
   replica.on_round(1, delivered);
 
   EXPECT_EQ(pulled, (std::vector<Value>{500, 501}));
   EXPECT_EQ(committed_slots, (std::vector<int>{0, 2}));
   EXPECT_EQ(replica.log()[0], std::optional<Value>(77));
   EXPECT_EQ(replica.log()[2], std::optional<Value>(88));
+}
+
+TEST(RsmBurst, LogCoversTheStartedSlotsNotTheWholeCap) {
+  // num_slots caps the log rather than reserving it: after k rounds a
+  // replica holds entries only for the slots it started or learned.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  constexpr int kBurst = 16;
+  constexpr Round kRounds = 10;
+  RsmOptions opt;
+  opt.num_slots = 1'000'000;
+  opt.slot_window = 1;
+  opt.slot_burst = kBurst;
+  opt.decide_retention = 2;
+  KernelOptions koptions = light_burst_kernel();
+  koptions.max_rounds = kRounds;
+  auto streams = [](ProcessId id) {
+    return std::vector<Value>{100 + id, 200 + id};
+  };
+  AlgorithmInstances instances;
+  const RunResult r = run_and_check(
+      cfg, koptions, rsm_factory(ff_slots(), streams, opt),
+      distinct_proposals(cfg.n), failure_free_schedule(cfg), &instances);
+  ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
+
+  // Window 1 starts one burst per round, and each burst decides in its
+  // round 2 on the failure-free path.
+  const std::size_t started = static_cast<std::size_t>(kRounds) * kBurst;
+  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
+    const RsmReplica& replica = replica_of(instances, pid);
+    EXPECT_LE(replica.log().size(), started) << "p" << pid;
+    EXPECT_EQ(replica.committed_prefix(), (kRounds - 1) * kBurst)
+        << "p" << pid;
+    EXPECT_FALSE(replica.all_slots_committed()) << "p" << pid;
+    EXPECT_EQ(replica.commit_round(opt.num_slots - 1), 0) << "p" << pid;
+  }
+}
+
+TEST(RsmBundle, ConstructorRejectsUnorderedOrOverlappingSlots) {
+  const MessagePtr filler = std::make_shared<FillerMessage>();
+  using Parts = std::vector<RsmBundleMessage::Part>;
+  using Notices = std::vector<RsmBundleMessage::Notice>;
+  EXPECT_NO_THROW(RsmBundleMessage(Parts{{1, filler}, {4, filler}},
+                                   Notices{{0, 7}, {2, 8}}));
+  EXPECT_THROW(RsmBundleMessage(Parts{{4, filler}, {1, filler}}, Notices{}),
+               std::invalid_argument);
+  EXPECT_THROW(RsmBundleMessage(Parts{}, Notices{{2, 7}, {2, 8}}),
+               std::invalid_argument);
+  EXPECT_THROW(RsmBundleMessage(Parts{{2, filler}}, Notices{{2, 7}}),
+               std::invalid_argument);
+  EXPECT_THROW(RsmBundleMessage(Parts{{2, nullptr}}, Notices{}),
+               std::invalid_argument);
 }
 
 TEST(RsmWindows, KernelProposalOfReservedValueIsSkipped) {
