@@ -2,8 +2,8 @@
 //
 // Same RsmReplica code and done/observer plumbing as X5, but the envelopes
 // leave the address space: the live runtime's router is swapped for the
-// SocketHub, one supervised endpoint per replica over Unix-domain sockets
-// or TCP loopback.  Each transport runs clean and then under the seeded
+// in-process socket fabric, one supervised endpoint per replica over
+// Unix-domain sockets or TCP loopback.  Each transport runs clean and then under the seeded
 // wire-chaos layer (connect failures, accepted-then-closed, resets, stalls,
 // short writes for the first 2 ms), which is where the supervisor earns its
 // keep: commits must keep landing and the merged trace must still pass the

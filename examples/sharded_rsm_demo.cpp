@@ -3,17 +3,19 @@
 // its share of G independent consensus groups over ONE group-multiplexed
 // socket endpoint per node.
 //
-//   $ ./sharded_rsm_demo [--nodes M] [--groups G] [--tcp] [--chaos]
+//   $ ./sharded_rsm_demo [--nodes M] [--groups G] [--n N] [--tcp] [--chaos]
 //
 // The client key space is hash-partitioned across the groups with
-// group_for_key(); each group is a 3-replica indulgent RSM whose replicas
-// live on pairwise-distinct nodes chosen by group_placement().  All groups
+// group_for_key(); each group is an N-replica indulgent RSM (N = 3 unless
+// --n says otherwise, t = (N - 1) / 2) whose replicas live on pairwise-
+// distinct nodes chosen by group_placement().  `--groups 1 --nodes N` is
+// the plain replicated log with one OS process per replica.  All groups
 // share the node-to-node links (one supervisor, one heartbeat, one
 // seq/ack stream per peer); the per-group demux layer fans decoded
 // envelopes out to the owning replicas.  Every node process runs all of
 // its hosted replicas for an agreed fixed round count and ships one
 // binary trace log per hosted group; the launcher merges each group's
-// three logs with ship_and_merge_groups() and re-checks every merged
+// N logs with ship_and_merge_groups() and re-checks every merged
 // trace with the UNCHANGED per-group model validator, then compares each
 // group's committed logs — identical at every replica, by agreement —
 // and checks that every committed client key really belongs to the
@@ -58,17 +60,21 @@ constexpr Round kWindow = 2;
 // tolerates, paid for in rounds.  Extra rounds after the last commit are
 // near-free (dummy sends).
 constexpr Round kRounds = 32;
-const SystemConfig kGroupConfig{3, 1};
 
 struct DemoArgs {
   int nodes = 4;
   int groups = 64;
+  int n = 3;  ///< replicas per group
   bool tcp = false;
   bool chaos = false;
   int node = -1;  ///< >= 0: run as node `node` (internal re-entry)
   std::string dir;
   std::uint16_t base_port = 0;
 };
+
+SystemConfig group_config(const DemoArgs& args) {
+  return SystemConfig{.n = args.n, .t = (args.n - 1) / 2};
+}
 
 std::vector<SocketAddress> addresses_of(const DemoArgs& args) {
   std::vector<SocketAddress> addrs;
@@ -107,7 +113,7 @@ std::vector<std::vector<Value>> partition_keys(int groups) {
 /// One group's RSM factory: slots for its keys, key i queued at replica
 /// i mod n (each client key has one home replica — two replicas queueing
 /// the same command would legitimately commit it twice).
-AlgorithmFactory group_rsm_factory(std::vector<Value> keys) {
+AlgorithmFactory group_rsm_factory(std::vector<Value> keys, int n) {
   RsmOptions rsm;
   rsm.num_slots = std::max<int>(1, static_cast<int>(keys.size()));
   rsm.slot_window = kWindow;
@@ -115,10 +121,10 @@ AlgorithmFactory group_rsm_factory(std::vector<Value> keys) {
   ff.failure_free_opt = true;
   return rsm_factory(
       at2_factory(hurfin_raynal_factory(), ff),
-      [keys = std::move(keys)](ProcessId pid) {
+      [keys = std::move(keys), n](ProcessId pid) {
         std::vector<Value> mine;
         for (std::size_t i = 0; i < keys.size(); ++i) {
-          if (static_cast<ProcessId>(i % kGroupConfig.n) == pid) {
+          if (static_cast<ProcessId>(i % static_cast<std::size_t>(n)) == pid) {
             mine.push_back(keys[i]);
           }
         }
@@ -142,6 +148,7 @@ std::string committed_path(const DemoArgs& args, int node, GroupId g) {
 
 int run_node(const DemoArgs& args) {
   const int self = args.node;
+  const SystemConfig config = group_config(args);
   LiveOptions live;
   live.max_rounds = kRounds;
   // Dozens of driver threads share each node's cores; a tighter grace
@@ -179,11 +186,12 @@ int run_node(const DemoArgs& args) {
       partition_keys(args.groups);
   for (GroupId g = 0; g < args.groups; ++g) {
     const std::vector<int> members =
-        group_placement(g, kGroupConfig.n, args.nodes);
-    for (ProcessId pid = 0; pid < kGroupConfig.n; ++pid) {
+        group_placement(g, config.n, args.nodes);
+    for (ProcessId pid = 0; pid < config.n; ++pid) {
       if (members[static_cast<std::size_t>(pid)] != self) continue;
-      node.host(g, kGroupConfig, pid, members,
-                group_rsm_factory(streams[static_cast<std::size_t>(g)]),
+      node.host(g, config, pid, members,
+                group_rsm_factory(streams[static_cast<std::size_t>(g)],
+                                  config.n),
                 kNoOpCommand);
     }
   }
@@ -220,6 +228,7 @@ int run_node(const DemoArgs& args) {
 // ---------------------------------------------------------------------------
 
 int launch(DemoArgs args) {
+  const SystemConfig config = group_config(args);
   std::string tmpl = (std::filesystem::temp_directory_path() /
                       "indulgence-sharded-rsm-XXXXXX")
                          .string();
@@ -235,7 +244,7 @@ int launch(DemoArgs args) {
   }
 
   std::cout << "Sharded indulgent RSM: " << args.groups << " groups x "
-            << kGroupConfig.n << " replicas over " << args.nodes
+            << config.n << " replicas over " << args.nodes
             << " node processes, "
             << (args.tcp ? "TCP loopback" : "Unix-domain sockets")
             << (args.chaos ? ", wire chaos for the first 150 ms" : "")
@@ -259,11 +268,13 @@ int launch(DemoArgs args) {
       const std::string node = std::to_string(i);
       const std::string nodes = std::to_string(args.nodes);
       const std::string groups = std::to_string(args.groups);
+      const std::string n = std::to_string(args.n);
       const std::string port = std::to_string(args.base_port);
       std::vector<const char*> argv = {
           "/proc/self/exe", "--node",   node.c_str(),   "--dir",
           args.dir.c_str(), "--nodes",  nodes.c_str(),  "--groups",
-          groups.c_str(),   "--port",   port.c_str()};
+          groups.c_str(),   "--n",      n.c_str(),      "--port",
+          port.c_str()};
       if (args.tcp) argv.push_back("--tcp");
       if (args.chaos) argv.push_back("--chaos");
       argv.push_back(nullptr);
@@ -290,7 +301,7 @@ int launch(DemoArgs args) {
   bool shipped_ok = true;
   for (GroupId g = 0; g < args.groups; ++g) {
     const std::vector<int> members =
-        group_placement(g, kGroupConfig.n, args.nodes);
+        group_placement(g, config.n, args.nodes);
     for (int node : members) {
       auto shipped = read_shipped_log(shipped_path(args, node, g));
       if (!shipped) {
@@ -307,7 +318,7 @@ int launch(DemoArgs args) {
 
   int valid_groups = 0;
   if (shipped_ok &&
-      static_cast<int>(logs.size()) == args.groups * kGroupConfig.n) {
+      static_cast<int>(logs.size()) == args.groups * config.n) {
     const std::map<GroupId, RunResult> merged =
         ship_and_merge_groups(std::move(logs), /*terminated=*/true);
     for (const auto& [g, result] : merged) {
@@ -322,7 +333,7 @@ int launch(DemoArgs args) {
     }
   }
 
-  // Each group's committed logs must be identical at its three replicas,
+  // Each group's committed logs must be identical at its n replicas,
   // and every committed client key must belong to that group's partition.
   int agreeing_groups = 0;
   bool routing_ok = true;
@@ -331,7 +342,7 @@ int launch(DemoArgs args) {
   std::set<Value> committed_anywhere;
   for (GroupId g = 0; g < args.groups; ++g) {
     const std::vector<int> members =
-        group_placement(g, kGroupConfig.n, args.nodes);
+        group_placement(g, config.n, args.nodes);
     bool agree = true;
     std::vector<std::string> reference;
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -406,6 +417,8 @@ int main(int argc, char** argv) {
       args.nodes = std::atoi(v);
     } else if (arg == "--groups" && (v = value())) {
       args.groups = std::atoi(v);
+    } else if (arg == "--n" && (v = value())) {
+      args.n = std::atoi(v);
     } else if (arg == "--node" && (v = value())) {
       args.node = std::atoi(v);
     } else if (arg == "--dir" && (v = value())) {
@@ -414,14 +427,17 @@ int main(int argc, char** argv) {
       args.base_port = static_cast<std::uint16_t>(std::atoi(v));
     } else {
       std::cerr
-          << "usage: sharded_rsm_demo [--nodes M] [--groups G] [--tcp] "
-             "[--chaos]\n";
+          << "usage: sharded_rsm_demo [--nodes M] [--groups G] [--n N] "
+             "[--tcp] [--chaos]\n";
       return 2;
     }
   }
-  if (args.nodes < kGroupConfig.n || args.nodes > 16) {
-    std::cerr << "sharded_rsm_demo: need nodes in "
-              << kGroupConfig.n << "..16\n";
+  if (args.n < 3 || args.n > 13 || args.n % 2 == 0) {
+    std::cerr << "sharded_rsm_demo: need odd n in 3..13\n";
+    return 2;
+  }
+  if (args.nodes < args.n || args.nodes > 16) {
+    std::cerr << "sharded_rsm_demo: need nodes in " << args.n << "..16\n";
     return 2;
   }
   if (args.groups < 1 || args.groups > 512) {

@@ -78,12 +78,13 @@ ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 # loop above; this exercises the example entry point too).
 ./build/examples/live_rsm_demo 2>> bench_timing.txt
 
-# The multi-process smoke: one OS process per replica over Unix-domain
-# sockets, per-process trace logs shipped back and merged; the chaos
-# variant (seeded resets / stalls / short writes before "GST") must not
-# change the verdict.
-./build/examples/socket_rsm_demo 2>> bench_timing.txt
-./build/examples/socket_rsm_demo --chaos 2>> bench_timing.txt
+# The multi-process smoke: one group with one OS process per replica over
+# Unix-domain sockets, per-process trace logs shipped back and merged; the
+# chaos variant (seeded resets / stalls / short writes before "GST") must
+# not change the verdict.
+./build/examples/sharded_rsm_demo --groups 1 --nodes 3 2>> bench_timing.txt
+./build/examples/sharded_rsm_demo --groups 1 --nodes 3 --chaos \
+    2>> bench_timing.txt
 
 # The sharded smoke: 8 consensus groups hash-partitioned across 4 OS
 # processes on one group-multiplexed fabric; every per-group merged trace

@@ -23,8 +23,8 @@ using Round = int;
 
 /// A consensus-group identifier.  The paper's model is one group Pi; the
 /// sharded runtime runs many independent groups over one transport fabric,
-/// each with its own group-local ProcessIds 0..n-1.  Group 0 is the
-/// distinguished legacy group of every single-group configuration.
+/// each with its own group-local ProcessIds 0..n-1.  A single-group run
+/// is group 0.
 using GroupId = std::int32_t;
 
 /// Proposal / decision values.  The paper assumes the set of proposal values

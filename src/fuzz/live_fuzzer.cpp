@@ -64,6 +64,91 @@ struct RunOutcome {
   std::optional<LiveFinding> finding;
 };
 
+/// The kernel-replay parity oracle's half: one group's live trace exported
+/// and replayed through the lockstep kernel, capped at the rounds the live
+/// run actually executed.
+struct KernelReplay {
+  Round horizon;
+  RunSchedule exported;
+  RunResult kernel;
+};
+
+KernelReplay replay_in_kernel(const FuzzTarget& target,
+                              const SystemConfig& config,
+                              const std::vector<Value>& proposals,
+                              const RunTrace& live) {
+  const Round horizon = std::max<Round>(live.rounds_executed(), 1);
+  RunSchedule exported = schedule_from_trace(live);
+  KernelOptions kernel_options;
+  kernel_options.model = Model::ES;
+  kernel_options.max_rounds = horizon;
+  RunResult kernel = run_and_check(config, kernel_options, target.factory,
+                                   proposals, exported);
+  return KernelReplay{horizon, std::move(exported), std::move(kernel)};
+}
+
+/// Records a finding on one group's export in `outcome`.
+void record_finding(RunOutcome& outcome, long run_index, LiveFindingKind kind,
+                    std::string description, const SystemConfig& config,
+                    const std::vector<Value>& proposals,
+                    const KernelReplay& replay) {
+  LiveFinding f;
+  f.run_index = run_index;
+  f.kind = kind;
+  f.description = std::move(description);
+  f.config = config;
+  f.proposals = proposals;
+  f.schedule = replay.exported;
+  f.original = replay.exported;
+  f.max_rounds = replay.horizon;
+  f.planned_rounds = replay.exported.planned_rounds();
+  outcome.finding = std::move(f);
+}
+
+/// Judges one group of a valid draw, in order: the merged trace must
+/// validate, a target that owes safety must keep it, and the kernel replay
+/// of the export must validate and decide in the same rounds.  `where`
+/// prefixes every description, and `draw` names the draw in the
+/// invalid-trace one.  Returns true when it recorded a finding.
+bool judge_group(const FuzzTarget& target, const SystemConfig& config,
+                 const ViolationPredicate& violated, long run_index,
+                 const std::vector<Value>& proposals, const RunResult& live,
+                 const AlgorithmInstances& algorithms,
+                 const std::string& where, const std::string& draw,
+                 RunOutcome& outcome) {
+  const KernelReplay replay =
+      replay_in_kernel(target, config, proposals, live.trace);
+  auto finding = [&](LiveFindingKind kind, const std::string& description) {
+    record_finding(outcome, run_index, kind, where + description, config,
+                   proposals, replay);
+    return true;
+  };
+
+  if (!live.validation.ok()) {
+    return finding(LiveFindingKind::InvalidTrace,
+                   draw + " produced an invalid trace: " +
+                       first_violation(live.validation));
+  }
+  if (auto what = violated(live, algorithms)) {
+    if (target.expect_safe && target.model == Model::ES) {
+      return finding(LiveFindingKind::Violation, *what);
+    }
+    // SCS algorithms and the deliberately broken variants are EXPECTED to
+    // crack under asynchronous timing — the paper's indulgence price.
+    outcome.caught = true;
+  }
+  if (!replay.kernel.validation.ok()) {
+    return finding(LiveFindingKind::Divergence,
+                   "live trace valid, but its kernel replay is not: " +
+                       first_violation(replay.kernel.validation));
+  }
+  if (decision_rounds(replay.kernel.trace) != decision_rounds(live.trace)) {
+    return finding(LiveFindingKind::Divergence,
+                   "kernel replay decision rounds differ from the live run");
+  }
+  return false;
+}
+
 RunOutcome judge_run(const FuzzTarget& target, const SystemConfig& config,
                      const ViolationPredicate& violated, std::uint64_t seed,
                      long run_index, const LiveGenOptions& gen, bool socket) {
@@ -83,69 +168,26 @@ RunOutcome judge_run(const FuzzTarget& target, const SystemConfig& config,
   const RunResult live = runtime.run(target.factory, plan.proposals);
   if (socket) outcome.counters = runtime.socket_counters();
 
-  // Export the trace and replay it through the lockstep kernel, capped at
-  // the rounds the live run actually executed: the parity oracle.
-  const Round horizon = std::max<Round>(live.trace.rounds_executed(), 1);
-  const RunSchedule exported = schedule_from_trace(live.trace);
-  KernelOptions kernel_options;
-  kernel_options.model = Model::ES;
-  kernel_options.max_rounds = horizon;
-  const RunResult kernel = run_and_check(config, kernel_options,
-                                         target.factory, plan.proposals,
-                                         exported);
-
-  auto finding = [&](LiveFindingKind kind, std::string description) {
-    LiveFinding f;
-    f.run_index = run_index;
-    f.kind = kind;
-    f.description = std::move(description);
-    f.config = config;
-    f.proposals = plan.proposals;
-    f.schedule = exported;
-    f.original = exported;
-    f.max_rounds = horizon;
-    f.planned_rounds = exported.planned_rounds();
-    outcome.finding = std::move(f);
-  };
-
-  if (plan.lossy) {
-    outcome.flagged_invalid = !live.validation.ok();
-    if (runtime.dropped_copies() > 0 && live.validation.ok()) {
-      finding(LiveFindingKind::UnflaggedLoss,
-              "dropped " + std::to_string(runtime.dropped_copies()) +
-                  " copies yet the validator accepted the trace");
-    } else if (kernel.validation.ok() != live.validation.ok()) {
-      finding(LiveFindingKind::Divergence,
-              std::string("validity diverged: live ") +
-                  (live.validation.ok() ? "valid" : "invalid") +
-                  ", kernel replay " +
-                  (kernel.validation.ok() ? "valid" : "invalid"));
-    }
+  if (!plan.lossy) {
+    judge_group(target, config, violated, run_index, plan.proposals, live,
+                runtime.algorithms(), "", "valid draw", outcome);
     return outcome;
   }
-
-  if (!live.validation.ok()) {
-    finding(LiveFindingKind::InvalidTrace,
-            "valid draw produced an invalid trace: " +
-                first_violation(live.validation));
-    return outcome;
-  }
-  if (auto what = violated(live, runtime.algorithms())) {
-    if (target.expect_safe && target.model == Model::ES) {
-      finding(LiveFindingKind::Violation, *what);
-      return outcome;
-    }
-    // SCS algorithms and the deliberately broken variants are EXPECTED to
-    // crack under asynchronous timing — the paper's indulgence price.
-    outcome.caught = true;
-  }
-  if (!kernel.validation.ok()) {
-    finding(LiveFindingKind::Divergence,
-            "live trace valid, but its kernel replay is not: " +
-                first_violation(kernel.validation));
-  } else if (decision_rounds(kernel.trace) != decision_rounds(live.trace)) {
-    finding(LiveFindingKind::Divergence,
-            "kernel replay decision rounds differ from the live run");
+  const KernelReplay replay =
+      replay_in_kernel(target, config, plan.proposals, live.trace);
+  outcome.flagged_invalid = !live.validation.ok();
+  if (runtime.dropped_copies() > 0 && live.validation.ok()) {
+    record_finding(outcome, run_index, LiveFindingKind::UnflaggedLoss,
+                   "dropped " + std::to_string(runtime.dropped_copies()) +
+                       " copies yet the validator accepted the trace",
+                   config, plan.proposals, replay);
+  } else if (replay.kernel.validation.ok() != live.validation.ok()) {
+    record_finding(outcome, run_index, LiveFindingKind::Divergence,
+                   std::string("validity diverged: live ") +
+                       (live.validation.ok() ? "valid" : "invalid") +
+                       ", kernel replay " +
+                       (replay.kernel.validation.ok() ? "valid" : "invalid"),
+                   config, plan.proposals, replay);
   }
   return outcome;
 }
@@ -191,57 +233,13 @@ RunOutcome judge_sharded_run(const FuzzTarget& target,
   outcome.counters = result.counters;
 
   for (const auto& [g, group_outcome] : result.groups) {
-    const RunResult& live = group_outcome.result;
-    const std::string where =
-        "group " + std::to_string(g) + "/" + std::to_string(groups) + ": ";
-    const auto& group_proposals = proposals[static_cast<std::size_t>(g)];
-
-    const Round horizon = std::max<Round>(live.trace.rounds_executed(), 1);
-    const RunSchedule exported = schedule_from_trace(live.trace);
-    KernelOptions kernel_options;
-    kernel_options.model = Model::ES;
-    kernel_options.max_rounds = horizon;
-    const RunResult kernel = run_and_check(config, kernel_options,
-                                           target.factory, group_proposals,
-                                           exported);
-
-    auto finding = [&](LiveFindingKind kind, std::string description) {
-      LiveFinding f;
-      f.run_index = run_index;
-      f.kind = kind;
-      f.description = where + std::move(description);
-      f.config = config;
-      f.proposals = group_proposals;
-      f.schedule = exported;
-      f.original = exported;
-      f.max_rounds = horizon;
-      f.planned_rounds = exported.planned_rounds();
-      outcome.finding = std::move(f);
-    };
-
-    if (!live.validation.ok()) {
-      finding(LiveFindingKind::InvalidTrace,
-              "valid sharded draw produced an invalid trace: " +
-                  first_violation(live.validation));
-      return outcome;
-    }
-    if (auto what = violated(live, group_outcome.algorithms)) {
-      if (target.expect_safe && target.model == Model::ES) {
-        finding(LiveFindingKind::Violation, *what);
-        return outcome;
-      }
-      outcome.caught = true;
-    }
-    if (!kernel.validation.ok()) {
-      finding(LiveFindingKind::Divergence,
-              "live trace valid, but its kernel replay is not: " +
-                  first_violation(kernel.validation));
-      return outcome;
-    }
-    if (decision_rounds(kernel.trace) != decision_rounds(live.trace)) {
-      finding(LiveFindingKind::Divergence,
-              "kernel replay decision rounds differ from the live run");
-      return outcome;
+    if (judge_group(target, config, violated, run_index,
+                    proposals[static_cast<std::size_t>(g)],
+                    group_outcome.result, group_outcome.algorithms,
+                    "group " + std::to_string(g) + "/" +
+                        std::to_string(groups) + ": ",
+                    "valid sharded draw", outcome)) {
+      break;
     }
   }
   return outcome;

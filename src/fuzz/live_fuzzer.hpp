@@ -58,10 +58,11 @@ struct LiveFuzzOptions {
   /// Wall-clock budget: no new run starts past this point (checked between
   /// runs, never mid-run).  nullopt = runs budget only.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Run over real Unix-domain sockets (SocketHub) instead of the in-memory
-  /// router: every draw is a valid profile (sockets never drop copies) plus
-  /// a seeded wire-chaos window; the oracle is unchanged.  Uses a distinct
-  /// seed stream so --live and --socket sweeps do not shadow each other.
+  /// Run over real Unix-domain sockets (the socket fabric, one group over
+  /// n nodes) instead of the in-memory router: every draw is a valid
+  /// profile (sockets never drop copies) plus a seeded wire-chaos window;
+  /// the oracle is unchanged.  Uses a distinct seed stream so --live and
+  /// --socket sweeps do not shadow each other.
   bool socket = false;
   /// Socket campaign only: > 1 runs that many independent groups of the
   /// target per draw over ONE shared group-multiplexed fabric (run_sharded

@@ -117,6 +117,13 @@ RunTrace merge_process_logs(const LiveMergeInput& input) {
   return trace;
 }
 
+RunResult merge_and_judge(const LiveMergeInput& input) {
+  RunResult result;
+  result.trace = merge_process_logs(input);
+  judge_trace(result);
+  return result;
+}
+
 Round minimal_conforming_gst(const RunTrace& trace) {
   std::map<ProcessId, Round> crash_round;
   for (const CrashRecord& c : trace.crashes()) crash_round[c.pid] = c.round;

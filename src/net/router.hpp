@@ -42,7 +42,7 @@ class LiveRouter final : public SupervisedTransport {
 
   /// Starts the router thread; `epoch` is the run's t=0 for GST and
   /// partition windows.
-  void start(Clock::time_point epoch) override;
+  void start(Clock::time_point epoch);
 
   void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
 
@@ -54,10 +54,10 @@ class LiveRouter final : public SupervisedTransport {
 
   /// Stops the router thread and returns the copies that never reached a
   /// mailbox (they become the trace's pending records).  Idempotent.
-  std::vector<UndeliveredCopy> stop_and_flush() override;
+  std::vector<UndeliveredCopy> stop_and_flush();
 
   /// Copies dropped by loss injection (not by dead-receiver filtering).
-  long dropped_copies() const override {
+  long dropped_copies() const {
     return dropped_.load(std::memory_order_relaxed);
   }
 

@@ -1,46 +1,18 @@
 #include "net/runtime.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "net/driver_runner.hpp"
 #include "net/live_trace.hpp"
-#include "net/round_driver.hpp"
 #include "net/router.hpp"
 #include "net/script.hpp"
-#include "sim/validator.hpp"
+#include "net/sharded_runtime.hpp"
 
 namespace indulgence {
-
-namespace {
-
-/// Prefer a root-cause error over the cascade of "replay aborted by peer
-/// failure" errors the abort fans out to the other drivers.
-std::exception_ptr pick_error(
-    const std::vector<std::unique_ptr<RoundDriver>>& drivers) {
-  std::exception_ptr fallback;
-  for (const auto& driver : drivers) {
-    std::exception_ptr error = driver->error();
-    if (!error) continue;
-    if (!fallback) fallback = error;
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& ex) {
-      if (std::string(ex.what()).find("aborted") == std::string::npos) {
-        return error;
-      }
-    } catch (...) {
-      return error;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
 
 LiveRuntime::LiveRuntime(SystemConfig config, LiveOptions options)
     : config_(config), options_(std::move(options)) {
@@ -67,7 +39,8 @@ RunResult LiveRuntime::replay(Model model, const RunSchedule& schedule,
 RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
                                const AlgorithmFactory& factory,
                                const std::vector<Value>& proposals) {
-  if (static_cast<int>(proposals.size()) != config_.n) {
+  const int n = config_.n;
+  if (static_cast<int>(proposals.size()) != n) {
     throw std::invalid_argument("live runtime: need one proposal per process");
   }
   if (schedule && schedule->byzantine_budget() > 0) {
@@ -78,7 +51,7 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   }
   ProcessSet declared_liars;
   for (const ByzantineInjection& b : options_.byzantine) {
-    if (b.event.liar < 0 || b.event.liar >= config_.n) {
+    if (b.event.liar < 0 || b.event.liar >= n) {
       throw std::invalid_argument("live runtime: Byzantine liar p" +
                                   std::to_string(b.event.liar) +
                                   " is out of range");
@@ -87,133 +60,106 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
   }
   const int budget = options_.byzantine_budget > 0 ? options_.byzantine_budget
                                                    : declared_liars.size();
-  if (budget > 0 && 3 * budget >= config_.n) {
+  if (budget > 0 && 3 * budget >= n) {
     throw std::invalid_argument(
         "live runtime: Byzantine budget needs 3b < n");
   }
 
-  // Size mailboxes so that a whole run fits: a process can be sent at most
-  // n - 1 copies per round, so producers never block on a consumer that
-  // already exited.
-  const std::size_t capacity =
-      std::max(options_.mailbox_capacity,
-               static_cast<std::size_t>(config_.n) *
-                   (static_cast<std::size_t>(options_.max_rounds) + 8));
+  // The mailboxes outlive the transports, which may push into them until
+  // they stop.
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
-  mailboxes.reserve(static_cast<std::size_t>(config_.n));
-  for (int i = 0; i < config_.n; ++i) {
-    mailboxes.push_back(std::make_unique<Mailbox>(capacity));
+  mailboxes.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    mailboxes.push_back(make_mailbox(config_, options_));
   }
 
+  // One transport for the group: a scripted replay, the router, or the
+  // socket fabric with one endpoint per process (a single group over n
+  // nodes, so group_placement is the identity).  `supervised[pid]` is
+  // process pid's view of it; scripted replays need no supervision.
   std::optional<ScriptView> script;
   std::unique_ptr<ScriptTransport> script_transport;
-  std::unique_ptr<SupervisedTransport> supervised;
-  Transport* transport = nullptr;
+  std::unique_ptr<LiveRouter> router;
+  std::unique_ptr<SocketFabric> fabric;
+  std::vector<SupervisedTransport*> supervised;
   if (schedule) {
     script.emplace(config_, *schedule);
     script_transport =
         std::make_unique<ScriptTransport>(config_, *schedule, mailboxes);
-    transport = script_transport.get();
   } else if (socket_kind_) {
     SocketTransportOptions socket_options = socket_options_;
     if (socket_options.byzantine.empty()) {
       socket_options.byzantine = options_.byzantine;
     }
-    supervised = std::make_unique<SocketHub>(config_, *socket_kind_,
-                                             std::move(socket_options),
-                                             mailboxes);
-    transport = supervised.get();
+    fabric = std::make_unique<SocketFabric>(n, *socket_kind_, socket_options);
+    const std::vector<int> members = group_placement(0, n, n);
+    for (ProcessId pid = 0; pid < n; ++pid) {
+      supervised.push_back(&fabric->host(
+          0, config_, pid, members,
+          mailboxes[static_cast<std::size_t>(pid)].get()));
+    }
   } else {
-    supervised = std::make_unique<LiveRouter>(config_, options_, mailboxes);
-    transport = supervised.get();
+    router = std::make_unique<LiveRouter>(config_, options_, mailboxes);
+    supervised.assign(static_cast<std::size_t>(n), router.get());
   }
 
   RunControl control(config_);
   PulseBoard pulses;  // the group's shared pacemaker signal (in-process)
-  if (supervised) {
-    SupervisedTransport* raw = supervised.get();
-    control.on_stop = [raw] { raw->expedite(); };
-  }
+  control.on_stop = [&supervised] {
+    for (SupervisedTransport* transport : supervised) transport->expedite();
+  };
 
   const auto epoch = std::chrono::steady_clock::now();
-  if (supervised) supervised->start(epoch);
+  if (router) router->start(epoch);
+  if (fabric) fabric->start(epoch);
   if (start_hook_) start_hook_(epoch);
 
-  std::vector<std::unique_ptr<RoundDriver>> drivers;
-  drivers.reserve(static_cast<std::size_t>(config_.n));
-  for (ProcessId pid = 0; pid < config_.n; ++pid) {
+  DriverRunner runner;
+  for (ProcessId pid = 0; pid < n; ++pid) {
     DriverContext ctx;
     ctx.self = pid;
     ctx.config = config_;
     ctx.options = &options_;
-    ctx.transport = transport;
     ctx.mailbox = mailboxes[static_cast<std::size_t>(pid)].get();
     ctx.control = &control;
-    ctx.script = script ? &*script : nullptr;
-    ctx.supervision = supervised.get();
-    ctx.pulses = script ? nullptr : &pulses;
+    if (script) {
+      ctx.transport = script_transport.get();
+      ctx.script = &*script;
+    } else {
+      ctx.supervision = supervised[static_cast<std::size_t>(pid)];
+      ctx.transport = ctx.supervision;
+      ctx.pulses = &pulses;
+    }
     ctx.factory = factory;
     ctx.proposal = proposals[static_cast<std::size_t>(pid)];
     ctx.done = done_;
     ctx.observer = observer_;
     ctx.epoch = epoch;
-    drivers.push_back(std::make_unique<RoundDriver>(std::move(ctx)));
+    runner.add(0, std::move(ctx));
   }
+  GroupLogs group = std::move(runner.run([&] {
+    if (router) return router->stop_and_flush();
+    if (!fabric) return std::vector<UndeliveredCopy>{};
+    std::vector<UndeliveredCopy> undelivered = fabric->stop();
+    socket_counters_ = fabric->counters();
+    return undelivered;
+  })[0]);
 
-  std::vector<std::thread> threads;
-  threads.reserve(drivers.size());
-  for (auto& driver : drivers) {
-    threads.emplace_back([d = driver.get()] { d->run(); });
-  }
-  for (std::thread& t : threads) t.join();
-
-  std::vector<UndeliveredCopy> undelivered =
-      supervised ? supervised->stop_and_flush()
-                 : std::vector<UndeliveredCopy>{};
-  if (auto* hub = dynamic_cast<SocketHub*>(supervised.get())) {
-    socket_counters_ = hub->counters();
-  }
-  for (ProcessId pid = 0; pid < config_.n; ++pid) {
-    for (NetEnvelope& env :
-         mailboxes[static_cast<std::size_t>(pid)]->drain()) {
-      undelivered.push_back(
-          UndeliveredCopy{env.sender, pid, env.send_round, env.target_round});
-    }
-  }
-
-  if (std::exception_ptr error = pick_error(drivers)) {
-    std::rethrow_exception(error);
-  }
-
-  std::vector<ProcessLog> logs;
-  logs.reserve(drivers.size());
-  algorithms_.clear();
-  for (auto& driver : drivers) {
-    logs.push_back(std::move(driver->log()));
-    algorithms_.push_back(driver->take_algorithm());
-  }
-  dropped_ = supervised ? supervised->dropped_copies()
-                        : script_transport->dropped_copies();
+  algorithms_ = std::move(group.algorithms);
+  dropped_ = router             ? router->dropped_copies()
+             : script_transport ? script_transport->dropped_copies()
+                                : 0;
 
   LiveMergeInput merge;
   merge.config = config_;
   merge.model = model;
   merge.gst_hint = schedule ? schedule->gst() : 0;
   merge.terminated = control.completed_normally();
-  merge.logs = &logs;
-  merge.undelivered = std::move(undelivered);
+  merge.logs = &group.logs;
+  merge.undelivered = std::move(group.undelivered);
   merge.byzantine = declared_liars;
   merge.byzantine_budget = budget;
-
-  RunResult result;
-  result.trace = merge_process_logs(merge);
-  result.validation = validate_trace(result.trace);
-  result.global_decision_round = result.trace.global_decision_round();
-  result.agreement = result.trace.agreement_ok();
-  result.validity = result.trace.validity_ok();
-  result.termination =
-      result.trace.terminated() && result.trace.all_correct_decided();
-  return result;
+  return merge_and_judge(merge);
 }
 
 RunResult run_live(SystemConfig config, const LiveOptions& options,

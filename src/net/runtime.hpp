@@ -1,9 +1,11 @@
 // LiveRuntime: run any RoundAlgorithm — the seven consensus algorithms or
 // the RSM replica — as a real concurrent service, one thread per process,
-// exchanging messages through a fault-injecting router (live mode) or a
-// schedule-replaying transport (scripted mode).
+// exchanging messages through a fault-injecting router (live mode), the
+// socket fabric (live mode over real sockets), or a schedule-replaying
+// transport (scripted mode).  It is the one-group case of the driver
+// runner (net/driver_runner) that run_sharded and ShardedNode share.
 //
-// Both modes end in the same place as the lockstep kernel: a merged
+// Every mode ends in the same place as the lockstep kernel: a merged
 // RunTrace re-checked by the independent model validator, wrapped in the
 // familiar RunResult.  Scripted replays additionally reproduce the
 // kernel's exact per-round delivery batches, so decision rounds can be
@@ -40,11 +42,11 @@ class LiveRuntime {
   using StartHook = std::function<void(std::chrono::steady_clock::time_point)>;
   void set_start_hook(StartHook hook) { start_hook_ = std::move(hook); }
 
-  /// Routes live runs over real sockets (a SocketHub — one endpoint per
-  /// process, UDS or TCP loopback) instead of the fault-injecting router.
-  /// The router's latency/loss/partition knobs do not apply; wire chaos in
-  /// `socket_options.chaos` takes their place.  Scripted replays are
-  /// unaffected.
+  /// Routes live runs over real sockets — the in-process SocketFabric with
+  /// one group over n nodes, one endpoint per process, UDS or TCP loopback
+  /// — instead of the fault-injecting router.  The router's latency/loss/
+  /// partition knobs do not apply; wire chaos in `socket_options.chaos`
+  /// takes their place.  Scripted replays are unaffected.
   void use_socket_transport(SocketAddress::Kind kind,
                             SocketTransportOptions socket_options = {});
 

@@ -18,10 +18,12 @@
 // replicas of one group on pairwise-distinct nodes (the transport enforces
 // it).
 //
-// Two drive modes mirror the single-group runtime:
-//   * run_sharded(): everything in one process — M endpoints over real
-//     sockets, G x n driver threads, per-group armed-stop shutdown, per-
-//     group merge + validation.  The bench and fuzz entry point.
+// Two drive modes share the driver runner (net/driver_runner) with the
+// single-group LiveRuntime:
+//   * run_sharded(): everything in one process — a SocketFabric of M
+//     endpoints over real sockets, G x n driver threads, per-group
+//     armed-stop shutdown, per-group merge + validation.  The bench and
+//     fuzz entry point.
 //   * ShardedNode: one OS process per node for the multi-process demo —
 //     hosts its share of replicas, runs them for an agreed fixed round
 //     count, and ships one ShippedLog per hosted group; the launcher
@@ -154,8 +156,9 @@ class ShardedNode {
   };
 
   LiveOptions live_;
-  std::unique_ptr<SocketEndpoint> endpoint_;
+  /// Declared before the endpoint, so the mailboxes outlive its readers.
   std::vector<Hosted> hosted_;
+  std::unique_ptr<SocketEndpoint> endpoint_;
   AlgorithmInstances algorithms_;
 };
 

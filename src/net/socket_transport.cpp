@@ -185,19 +185,6 @@ int open_listener(SocketAddress& addr) {
   return fd;
 }
 
-/// The implicit group of the single-group constructors: group 0, node ids
-/// and group-local pids coinciding.
-GroupSpec legacy_group(SystemConfig config, ProcessId self, Mailbox* inbox) {
-  GroupSpec spec;
-  spec.group = 0;
-  spec.config = config;
-  spec.self = self;
-  spec.members.resize(static_cast<std::size_t>(config.n));
-  for (int i = 0; i < config.n; ++i) spec.members[static_cast<std::size_t>(i)] = i;
-  spec.inbox = inbox;
-  return spec;
-}
-
 }  // namespace
 
 std::string SocketAddress::to_string() const {
@@ -349,45 +336,13 @@ struct SocketEndpoint::Inbound {
 };
 
 /// One hosted consensus group: its spec (immutable after add_group), the
-/// demux-side liveness flag, per-group counters, and the stop-time
-/// partition of undelivered copies.
+/// demux-side liveness flag, and per-group counters.
 struct SocketEndpoint::GroupState {
   GroupSpec spec;
   std::atomic<bool> dead{false};
   bool expedited = false;  ///< guarded by expedite_mutex_
   GroupCounters counters;  ///< guarded by counters_mutex_
-  std::vector<UndeliveredCopy> stash;  ///< filled by stop_and_flush_group
 };
-
-SocketEndpoint::SocketEndpoint(ProcessId self, SystemConfig config,
-                               std::vector<SocketAddress> peers,
-                               SocketTransportOptions options, Mailbox* inbox)
-    : node_(self),
-      num_nodes_(config.n),
-      options_(std::move(options)),
-      listen_address_(peers.at(static_cast<std::size_t>(self))),
-      delivered_seq_(static_cast<std::size_t>(config.n), 0) {
-  auto table =
-      std::make_shared<std::vector<SocketAddress>>(std::move(peers));
-  resolver_ = [table](ProcessId pid) -> std::optional<SocketAddress> {
-    return table->at(static_cast<std::size_t>(pid));
-  };
-  init_listener_and_links();
-  add_group(legacy_group(config, self, inbox));
-}
-
-SocketEndpoint::SocketEndpoint(ProcessId self, SystemConfig config,
-                               SocketAddress listen, AddressResolver resolver,
-                               SocketTransportOptions options, Mailbox* inbox)
-    : node_(self),
-      num_nodes_(config.n),
-      options_(std::move(options)),
-      resolver_(std::move(resolver)),
-      listen_address_(std::move(listen)),
-      delivered_seq_(static_cast<std::size_t>(config.n), 0) {
-  init_listener_and_links();
-  add_group(legacy_group(config, self, inbox));
-}
 
 SocketEndpoint::SocketEndpoint(int node, std::vector<SocketAddress> nodes,
                                SocketTransportOptions options)
@@ -476,10 +431,6 @@ void SocketEndpoint::add_group(GroupSpec spec) {
   for (const auto& [group, unused] : groups_) hosted_group_ids_.push_back(group);
 }
 
-std::vector<GroupId> SocketEndpoint::hosted_groups() const {
-  return hosted_group_ids_;
-}
-
 SocketEndpoint::GroupState* SocketEndpoint::find_group(GroupId group) const {
   const auto it = groups_.find(group);
   return it == groups_.end() ? nullptr : it->second.get();
@@ -520,11 +471,6 @@ void SocketEndpoint::start(Clock::time_point epoch) {
     Link* raw = link.get();
     raw->thread = std::thread([this, raw] { supervisor_loop(raw); });
   }
-}
-
-void SocketEndpoint::dispatch(ProcessId sender, Round round,
-                              MessagePtr payload) {
-  dispatch_group(0, sender, round, std::move(payload));
 }
 
 void SocketEndpoint::dispatch_group(GroupId group, ProcessId sender,
@@ -610,16 +556,6 @@ void SocketEndpoint::dispatch_group(GroupId group, ProcessId sender,
     push_frame(sender, receiver, std::move(frame));
   }
   pool_.release(encoded.take());
-}
-
-void SocketEndpoint::mark_dead(ProcessId pid) {
-  // A remote pid's death is deliberately ignored: indulgence means a
-  // suspected peer is retried forever, never dropped.  This node's own
-  // death silences every replica it hosts.
-  if (pid != node_) return;
-  for (auto& [group, state] : groups_) {
-    state->dead.store(true, std::memory_order_release);
-  }
 }
 
 void SocketEndpoint::mark_dead_group(GroupId group, ProcessId pid) {
@@ -1057,7 +993,7 @@ void SocketEndpoint::accept_loop() {
 void SocketEndpoint::reader_loop(Inbound* conn) {
   FrameParser parser;
   WireWriter ack_writer;  ///< reused across acks; capacity persists
-  int peer = -1;  ///< peer node, learned from the connection's HELLO
+  int peer = -1;  ///< peer node, learned from the connection's HELLO2
   std::uint8_t buf[4096];
   while (running_.load(std::memory_order_acquire)) {
     const int ev = poll_one(conn->fd, POLLIN, std::chrono::milliseconds{20});
@@ -1081,27 +1017,15 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
     std::uint64_t ack_cumulative = 0;
     while (std::optional<Frame> frame = parser.next()) {
       switch (frame->type) {
-        case FrameType::Hello:
         case FrameType::Hello2:
           if (frame->hello_sender >= 0 && frame->hello_sender < num_nodes_ &&
               frame->hello_sender != node_) {
             peer = frame->hello_sender;
-            if (frame->type == FrameType::Hello2) {
-              std::lock_guard<std::mutex> lock(inbound_mutex_);
-              peer_groups_[peer] = std::move(frame->hello_groups);
-            }
           }
           break;
-        case FrameType::Envelope:
         case FrameType::Envelope2: {
-          if (peer < 0) break;  // envelope before HELLO: protocol error
+          if (peer < 0) break;  // envelope before HELLO2: protocol error
           NetEnvelope env = std::move(frame->envelope);
-          if (frame->type == FrameType::Envelope) {
-            // v1 compatibility: the sender is the link peer (node ids and
-            // group-local pids coincide) and the group is the legacy 0.
-            env.sender = peer;
-            env.group = 0;
-          }
           bool fresh = false;
           std::uint64_t cumulative = 0;
           {
@@ -1205,10 +1129,9 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
     ::shutdown(listen_fd_, SHUT_RDWR);
     close_all_inbound();
     if (accept_thread_.joinable()) accept_thread_.join();
-    // Join the readers with no lock held: a reader still parsing a buffered
-    // HELLO2 takes inbound_mutex_ to record the peer's groups, so joining
-    // under that lock could wait forever.  With the acceptor joined, no
-    // reader is added behind our back.
+    // Join the readers with no lock held, so a reader can never wait on a
+    // lock its joiner holds.  With the acceptor joined, no reader is added
+    // behind our back.
     std::vector<std::unique_ptr<Inbound>> readers;
     {
       std::lock_guard<std::mutex> lock(inbound_mutex_);
@@ -1240,21 +1163,6 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
     link->hold.clear();
   }
   return undelivered;
-}
-
-std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush_group(
-    GroupId group) {
-  GroupState* state = find_group(group);
-  if (state == nullptr) return {};
-  if (!group_flushed_) {
-    group_flushed_ = true;
-    for (UndeliveredCopy& copy : stop_and_flush()) {
-      if (GroupState* owner = find_group(copy.group)) {
-        owner->stash.push_back(copy);
-      }
-    }
-  }
-  return std::move(state->stash);
 }
 
 SocketCounters SocketEndpoint::counters() const {
@@ -1294,80 +1202,63 @@ GroupCounters SocketEndpoint::group_counters(GroupId group) const {
   return state != nullptr ? state->counters : GroupCounters{};
 }
 
-std::vector<GroupId> SocketEndpoint::peer_advertised_groups(int node) const {
-  std::lock_guard<std::mutex> lock(inbound_mutex_);
-  const auto it = peer_groups_.find(node);
-  return it == peer_groups_.end() ? std::vector<GroupId>{} : it->second;
-}
-
 // ---------------------------------------------------------------------------
-// SocketHub
+// SocketFabric
 
-SocketHub::SocketHub(SystemConfig config, SocketAddress::Kind kind,
-                     SocketTransportOptions options,
-                     std::vector<std::unique_ptr<Mailbox>>& mailboxes) {
+SocketFabric::SocketFabric(int num_nodes, SocketAddress::Kind kind,
+                           const SocketTransportOptions& options) {
   if (kind == SocketAddress::Kind::Unix) {
     std::string tmpl = (std::filesystem::temp_directory_path() /
-                        "indulgence-hub-XXXXXX")
+                        "indulgence-shard-XXXXXX")
                            .string();
     if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("socket hub: mkdtemp failed");
+      throw std::runtime_error("socket fabric: mkdtemp failed");
     }
-    dir_ = tmpl;
+    dir_.path = tmpl;
   }
-  // All listeners bind in the constructors, so the resolver below can hand
-  // out final addresses (TCP ephemeral ports included) before start().
-  AddressResolver resolve = [this](ProcessId pid)
+  // The resolver runs only after start(), when every listener is bound and
+  // every TCP ephemeral port is final.
+  AddressResolver resolve = [this](ProcessId node)
       -> std::optional<SocketAddress> {
-    return endpoints_[static_cast<std::size_t>(pid)]->listen_address();
+    return endpoints_[static_cast<std::size_t>(node)]->listen_address();
   };
-  endpoints_.reserve(static_cast<std::size_t>(config.n));
-  for (ProcessId pid = 0; pid < config.n; ++pid) {
+  endpoints_.reserve(static_cast<std::size_t>(num_nodes));
+  for (int node = 0; node < num_nodes; ++node) {
     SocketAddress listen =
         kind == SocketAddress::Kind::Unix
-            ? SocketAddress::unix_path(dir_ + "/p" + std::to_string(pid) +
-                                       ".sock")
+            ? SocketAddress::unix_path(dir_.path + "/node" +
+                                       std::to_string(node) + ".sock")
             : SocketAddress::tcp_loopback(0);
     SocketTransportOptions per = options;
-    per.seed = options.seed + static_cast<std::uint64_t>(pid) * 1337;
+    per.seed = options.seed + static_cast<std::uint64_t>(node) * 1337;
     endpoints_.push_back(std::make_unique<SocketEndpoint>(
-        pid, config, std::move(listen), resolve, std::move(per),
-        mailboxes[static_cast<std::size_t>(pid)].get()));
+        node, num_nodes, std::move(listen), resolve, std::move(per)));
   }
 }
 
-SocketHub::~SocketHub() {
-  stop_and_flush();
-  endpoints_.clear();  // unlink socket files before removing the directory
-  if (!dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
+SocketFabric::Directory::~Directory() {
+  if (path.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(path, ec);
 }
 
-void SocketHub::start(Clock::time_point epoch) {
+GroupPort& SocketFabric::host(GroupId group, const SystemConfig& config,
+                              ProcessId pid, const std::vector<int>& members,
+                              Mailbox* inbox) {
+  const int node = members.at(static_cast<std::size_t>(pid));
+  SocketEndpoint* endpoint = endpoints_.at(static_cast<std::size_t>(node)).get();
+  endpoint->add_group(GroupSpec{group, config, pid, members, inbox});
+  ports_.push_back(std::make_unique<GroupPort>(endpoint, group));
+  return *ports_.back();
+}
+
+void SocketFabric::start(std::chrono::steady_clock::time_point epoch) {
   for (auto& endpoint : endpoints_) endpoint->start(epoch);
 }
 
-void SocketHub::dispatch(ProcessId sender, Round round, MessagePtr payload) {
-  endpoints_.at(static_cast<std::size_t>(sender))
-      ->dispatch(sender, round, std::move(payload));
-}
-
-void SocketHub::mark_dead(ProcessId pid) {
-  endpoints_.at(static_cast<std::size_t>(pid))->mark_dead(pid);
-}
-
-void SocketHub::expedite() {
-  for (auto& endpoint : endpoints_) endpoint->expedite();
-}
-
-std::vector<UndeliveredCopy> SocketHub::stop_and_flush() {
-  if (flushed_) return {};
-  flushed_ = true;
-  // Stop all endpoints concurrently so their linger windows overlap: every
-  // side keeps acking while every other side drains, instead of endpoint 0
-  // going deaf while endpoint 1 is still flushing to it.
+std::vector<UndeliveredCopy> SocketFabric::stop() {
+  if (stopped_) return {};
+  stopped_ = true;
   std::vector<std::vector<UndeliveredCopy>> parts(endpoints_.size());
   std::vector<std::thread> stoppers;
   stoppers.reserve(endpoints_.size());
@@ -1383,9 +1274,17 @@ std::vector<UndeliveredCopy> SocketHub::stop_and_flush() {
   return undelivered;
 }
 
-SocketCounters SocketHub::counters() const {
+SocketCounters SocketFabric::counters() const {
   SocketCounters total;
   for (const auto& endpoint : endpoints_) total += endpoint->counters();
+  return total;
+}
+
+GroupCounters SocketFabric::group_counters(GroupId group) const {
+  GroupCounters total;
+  for (const auto& endpoint : endpoints_) {
+    total += endpoint->group_counters(group);
+  }
   return total;
 }
 

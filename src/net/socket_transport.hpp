@@ -328,39 +328,25 @@ struct GroupSpec {
 
 /// One node's side of the socket fabric: a listener plus one supervised
 /// outbound link per peer node, multiplexing every group registered with
-/// add_group().  Implements the SupervisedTransport control plane for the
-/// legacy single-group configuration; multi-group hosts drive the
-/// *_group entry points (usually through GroupPort).
-class SocketEndpoint final : public SupervisedTransport {
+/// add_group().  Round drivers reach it through a per-group GroupPort.
+class SocketEndpoint final {
  public:
-  /// Legacy single-group endpoint: node ids coincide with the group-local
-  /// ProcessIds 0..n-1, and group 0 is registered implicitly with identity
-  /// placement.  Binds the listener in the constructor (before any
-  /// start()), so a set of endpoints created first and started later can
-  /// always reach each other without races.  `peers[pid]` is where pid
-  /// listens; the self entry may carry port 0 / an unbound path — the
-  /// actual bound address is listen_address().
-  SocketEndpoint(ProcessId self, SystemConfig config,
-                 std::vector<SocketAddress> peers,
-                 SocketTransportOptions options, Mailbox* inbox);
+  using Clock = std::chrono::steady_clock;
 
-  /// Legacy resolver flavour for multi-process runs: only the self listen
-  /// address is known up front; peers are resolved per connect attempt.
-  SocketEndpoint(ProcessId self, SystemConfig config, SocketAddress listen,
-                 AddressResolver resolver, SocketTransportOptions options,
-                 Mailbox* inbox);
-
-  /// Multi-group node: `node` is this process' slot in the fabric's node
-  /// address table.  Register hosted groups with add_group() before
-  /// start().
+  /// `node` is this process' slot in the fabric's node address table;
+  /// `nodes[node]` may carry port 0 — the bound address is
+  /// listen_address().  Binds the listener here, before any start(), so a
+  /// set of endpoints created first and started later always reach each
+  /// other.  Register hosted groups with add_group() before start().
   SocketEndpoint(int node, std::vector<SocketAddress> nodes,
                  SocketTransportOptions options);
 
-  /// Multi-group resolver flavour (multi-process fabrics).
+  /// Resolver flavour (multi-process fabrics): only the own listen address
+  /// is known up front; peers are resolved per connect attempt.
   SocketEndpoint(int node, int num_nodes, SocketAddress listen,
                  AddressResolver resolver, SocketTransportOptions options);
 
-  ~SocketEndpoint() override;
+  ~SocketEndpoint();
 
   /// Registers a hosted group (before start() only).  Throws
   /// std::invalid_argument on malformed placement: wrong member count,
@@ -373,20 +359,17 @@ class SocketEndpoint final : public SupervisedTransport {
 
   int node() const { return node_; }
 
-  /// The registered group ids, ascending — what HELLO2 advertises.
-  std::vector<GroupId> hosted_groups() const;
+  // --- lifecycle ------------------------------------------------------------
 
-  // --- SupervisedTransport --------------------------------------------------
-
-  void start(Clock::time_point epoch) override;
-  /// Legacy single-group dispatch: broadcasts on group 0.
-  void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
-  /// Legacy: marks every hosted group's local replica dead when `pid` is
-  /// this node (the whole process crashed).
-  void mark_dead(ProcessId pid) override;
-  void expedite() override;
-  std::vector<UndeliveredCopy> stop_and_flush() override;
-  long dropped_copies() const override { return 0; }  ///< never drops
+  /// Starts the acceptor and the link supervisors; `epoch` is the run's
+  /// t=0 for the wire-chaos window.
+  void start(Clock::time_point epoch);
+  /// Shutdown-drain accelerator: chaos off, links redial and flush at once.
+  void expedite();
+  /// Stops every thread after a linger for final acks, and returns the
+  /// copies no peer acknowledged (each tagged with its group).  The caller
+  /// must have joined every hosted group's drivers first.  Idempotent.
+  std::vector<UndeliveredCopy> stop_and_flush();
 
   // --- demux layer (per-group entry points) ---------------------------------
 
@@ -406,12 +389,6 @@ class SocketEndpoint final : public SupervisedTransport {
   /// group cannot switch the adversary off for the others.
   void expedite_group(GroupId group);
 
-  /// Stops the whole endpoint on first call (the caller must have joined
-  /// every hosted group's drivers first) and returns `group`'s partition
-  /// of the undelivered copies.  Call once per group, from one controlling
-  /// thread.
-  std::vector<UndeliveredCopy> stop_and_flush_group(GroupId group);
-
   // --- observability --------------------------------------------------------
 
   SocketCounters counters() const;  ///< endpoint-wide aggregate
@@ -421,9 +398,6 @@ class SocketEndpoint final : public SupervisedTransport {
   /// (observability: the E10 microbench and the pool tests read its
   /// reuse/miss stats).
   const FrameBufferPool& frame_pool() const { return pool_; }
-  /// The group set `node` advertised in its HELLO2 (empty until it dialed
-  /// us, or if it spoke the v1 wire format).
-  std::vector<GroupId> peer_advertised_groups(int node) const;
 
  private:
   struct Link;
@@ -470,7 +444,6 @@ class SocketEndpoint final : public SupervisedTransport {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> expedited_{false};
   bool flushed_ = false;
-  bool group_flushed_ = false;
 
   std::mutex expedite_mutex_;
   int expedited_groups_ = 0;
@@ -479,10 +452,8 @@ class SocketEndpoint final : public SupervisedTransport {
   std::vector<int> link_index_;  ///< node -> index in links_, -1 for self
 
   std::thread accept_thread_;
-  mutable std::mutex inbound_mutex_;
+  std::mutex inbound_mutex_;
   std::vector<std::unique_ptr<Inbound>> inbound_;
-  /// Latest HELLO2 advertisement per peer node.
-  std::map<int, std::vector<GroupId>> peer_groups_;
 
   /// Highest sequence delivered per peer node; survives reconnects
   /// (dedup).  Per link, shared by every group riding on it.
@@ -508,15 +479,13 @@ class SocketEndpoint final : public SupervisedTransport {
 /// A per-group SupervisedTransport view over a shared multi-group
 /// endpoint: the demux layer's send-side facade.  The round drivers of
 /// group g hold a GroupPort and never learn the endpoint is shared —
-/// DriverContext, RoundDriver, and the validator stay single-group.
+/// DriverContext, RoundDriver, and the validator stay single-group.  The
+/// endpoint's owner starts and stops it, once for all its groups.
 class GroupPort final : public SupervisedTransport {
  public:
   GroupPort(SocketEndpoint* endpoint, GroupId group)
       : endpoint_(endpoint), group_(group) {}
 
-  /// The node owner starts the shared endpoint exactly once; per-group
-  /// starts are no-ops.
-  void start(Clock::time_point) override {}
   void dispatch(ProcessId sender, Round round, MessagePtr payload) override {
     endpoint_->dispatch_group(group_, sender, round, std::move(payload));
   }
@@ -524,43 +493,63 @@ class GroupPort final : public SupervisedTransport {
     endpoint_->mark_dead_group(group_, pid);
   }
   void expedite() override { endpoint_->expedite_group(group_); }
-  std::vector<UndeliveredCopy> stop_and_flush() override {
-    return endpoint_->stop_and_flush_group(group_);
-  }
-  long dropped_copies() const override { return 0; }
-
-  GroupId group() const { return group_; }
 
  private:
   SocketEndpoint* endpoint_;
   GroupId group_;
 };
 
-/// In-process fabric for the LiveRuntime, the --socket fuzz campaign, and
-/// the X5-socket bench: n endpoints wired over real sockets inside one
-/// process, presented as a single SupervisedTransport.  Unix-domain
-/// endpoints live under a fresh temp directory (removed on destruction);
-/// TCP endpoints bind ephemeral loopback ports.
-class SocketHub final : public SupervisedTransport {
+/// M node endpoints wired over real sockets inside one process: the fabric
+/// run_sharded drives G groups over, and LiveRuntime's socket transport
+/// (one group, M = n nodes, identity placement).  Every listener binds in
+/// the constructor, so the endpoints reach each other as soon as they
+/// start.  Unix-domain endpoints live under a fresh temp directory that
+/// goes with the fabric, also when the run throws; TCP endpoints bind
+/// ephemeral loopback ports.  Node i's endpoint runs with seed
+/// options.seed + 1337 i.
+class SocketFabric {
  public:
-  SocketHub(SystemConfig config, SocketAddress::Kind kind,
-            SocketTransportOptions options,
-            std::vector<std::unique_ptr<Mailbox>>& mailboxes);
-  ~SocketHub() override;
+  SocketFabric(int num_nodes, SocketAddress::Kind kind,
+               const SocketTransportOptions& options);
+  SocketFabric(const SocketFabric&) = delete;  // endpoints resolve via this
+  SocketFabric& operator=(const SocketFabric&) = delete;
+  /// Stops every endpoint before destroying any: a running supervisor
+  /// resolves its peers' addresses through the fabric.
+  ~SocketFabric() { stop(); }
 
-  void start(Clock::time_point epoch) override;
-  void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
-  void mark_dead(ProcessId pid) override;
-  void expedite() override;
-  std::vector<UndeliveredCopy> stop_and_flush() override;
-  long dropped_copies() const override { return 0; }
+  /// Registers group-local replica `pid` of `group` on node members[pid]
+  /// (before start()) and returns the port its driver sends through.
+  GroupPort& host(GroupId group, const SystemConfig& config, ProcessId pid,
+                  const std::vector<int>& members, Mailbox* inbox);
 
-  SocketCounters counters() const;
+  void start(std::chrono::steady_clock::time_point epoch);
+
+  /// Stops every endpoint concurrently, so their linger windows overlap:
+  /// every node keeps acking while the others drain, instead of node 0
+  /// going deaf while node 1 still flushes to it.  Returns the copies no
+  /// peer acknowledged, each tagged with its group.  Later calls return
+  /// nothing.
+  std::vector<UndeliveredCopy> stop();
+
+  SocketCounters counters() const;  ///< summed over every endpoint
+  GroupCounters group_counters(GroupId group) const;
 
  private:
-  std::string dir_;  ///< UDS socket directory (empty for TCP)
+  /// The UDS socket directory (empty path for TCP), removed on destruction.
+  /// Declared before the endpoints, so it goes after they unlink their
+  /// sockets.
+  struct Directory {
+    std::string path;
+    Directory() = default;
+    Directory(const Directory&) = delete;
+    Directory& operator=(const Directory&) = delete;
+    ~Directory();
+  };
+
+  Directory dir_;
   std::vector<std::unique_ptr<SocketEndpoint>> endpoints_;
-  bool flushed_ = false;
+  std::vector<std::unique_ptr<GroupPort>> ports_;
+  bool stopped_ = false;
 };
 
 }  // namespace indulgence

@@ -6,18 +6,15 @@
 
 #include "net/live_trace.hpp"
 #include "net/wire.hpp"
-#include "sim/validator.hpp"
 
 namespace indulgence {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x314c5349;  // "ISL1" little-endian
-/// v1: single-group records.  v2 adds the owning GroupId, group-tagged
-/// undelivered copies, and the demux_drops counter; v1 files still read
-/// (group 0, demux_drops 0).  New files are always written as v2.
-// v3 ships each delivery's emitter (DeliveryRecord::origin) so forged
-// copies stay attributable to their budgeted liar across the wire.
+/// The one version read or written.  Versions 1 and 2 lacked the group
+/// fields and the deliveries' emitters; no such file is kept anywhere, so
+/// they read as foreign files.
 constexpr std::uint32_t kVersion = 3;
 /// Per-vector sanity cap: a corrupt count must not drive an allocation.
 constexpr std::uint32_t kMaxRecords = 1u << 24;
@@ -37,10 +34,10 @@ void put_counters(WireWriter& w, const SocketCounters& c) {
   w.i64(c.injected_short_writes);
   w.i64(c.injected_connect_failures);
   w.i64(c.injected_accept_closes);
-  w.i64(c.demux_drops);  // v2
+  w.i64(c.demux_drops);
 }
 
-bool get_counters(WireReader& r, SocketCounters& c, std::uint32_t version) {
+bool get_counters(WireReader& r, SocketCounters& c) {
   long* fields[] = {&c.connect_attempts,  &c.connect_failures,
                     &c.reconnects,        &c.envelopes_sent,
                     &c.envelopes_resent,  &c.envelopes_delivered,
@@ -48,16 +45,11 @@ bool get_counters(WireReader& r, SocketCounters& c, std::uint32_t version) {
                     &c.peer_timeouts,     &c.injected_resets,
                     &c.injected_stalls,   &c.injected_short_writes,
                     &c.injected_connect_failures,
-                    &c.injected_accept_closes};
+                    &c.injected_accept_closes, &c.demux_drops};
   for (long* f : fields) {
     auto v = r.i64();
     if (!v) return false;
     *f = static_cast<long>(*v);
-  }
-  if (version >= 2) {
-    auto v = r.i64();
-    if (!v) return false;
-    c.demux_drops = static_cast<long>(*v);
   }
   return true;
 }
@@ -67,22 +59,19 @@ void put_copy(WireWriter& w, const UndeliveredCopy& c) {
   w.i32(c.receiver);
   w.i32(c.send_round);
   w.i32(c.target_round);
-  w.i32(c.group);  // v2
+  w.i32(c.group);
 }
 
-bool get_copy(WireReader& r, UndeliveredCopy& c, std::uint32_t version) {
+bool get_copy(WireReader& r, UndeliveredCopy& c) {
   auto sender = r.i32();
   auto receiver = r.i32();
   auto send_round = r.i32();
   auto target_round = r.i32();
-  if (!sender || !receiver || !send_round || !target_round) return false;
-  GroupId group = 0;
-  if (version >= 2) {
-    auto g = r.i32();
-    if (!g) return false;
-    group = *g;
+  auto group = r.i32();
+  if (!sender || !receiver || !send_round || !target_round || !group) {
+    return false;
   }
-  c = UndeliveredCopy{*sender, *receiver, *send_round, *target_round, group};
+  c = UndeliveredCopy{*sender, *receiver, *send_round, *target_round, *group};
   return true;
 }
 
@@ -98,7 +87,7 @@ void write_shipped_log(const std::string& path, const ShippedLog& shipped) {
   WireWriter w;
   w.u32(kMagic);
   w.u32(kVersion);
-  w.i32(shipped.group);  // v2
+  w.i32(shipped.group);
   w.i32(shipped.self);
   w.i32(shipped.config.n);
   w.i32(shipped.config.t);
@@ -126,7 +115,7 @@ void write_shipped_log(const std::string& path, const ShippedLog& shipped) {
     w.i32(d.receiver);
     w.i32(d.sender);
     w.i32(d.send_round);
-    w.i32(d.origin);  // v3
+    w.i32(d.origin);
     encode_message(*d.payload, w);
   }
   w.u32(static_cast<std::uint32_t>(log.decisions.size()));
@@ -163,20 +152,16 @@ std::optional<ShippedLog> read_shipped_log(const std::string& path) {
 
   auto magic = r.u32();
   auto version = r.u32();
-  if (!magic || *magic != kMagic || !version || *version < 1 ||
-      *version > kVersion) {
+  if (!magic || *magic != kMagic || !version || *version != kVersion) {
     return std::nullopt;
   }
   ShippedLog shipped;
-  if (*version >= 2) {
-    auto group = r.i32();
-    if (!group) return std::nullopt;
-    shipped.group = *group;
-  }
+  auto group = r.i32();
   auto self = r.i32();
   auto n = r.i32();
   auto t = r.i32();
-  if (!self || !n || !t) return std::nullopt;
+  if (!group || !self || !n || !t) return std::nullopt;
+  shipped.group = *group;
   shipped.self = *self;
   shipped.config = SystemConfig{*n, *t};
 
@@ -220,20 +205,15 @@ std::optional<ShippedLog> read_shipped_log(const std::string& path) {
     auto receiver = r.i32();
     auto sender = r.i32();
     auto send_round = r.i32();
-    if (!recv_round || !receiver || !sender || !send_round) {
+    auto origin = r.i32();
+    if (!recv_round || !receiver || !sender || !send_round || !origin) {
       return std::nullopt;
-    }
-    ProcessId origin = -1;
-    if (*version >= 3) {
-      auto o = r.i32();
-      if (!o) return std::nullopt;
-      origin = *o;
     }
     MessagePtr payload = decode_message(r);
     if (!payload) return std::nullopt;
     log.deliveries.push_back(DeliveryRecord{*recv_round, *receiver, *sender,
                                             *send_round, std::move(payload),
-                                            origin});
+                                            *origin});
   }
 
   auto decision_count = get_count(r);
@@ -252,7 +232,7 @@ std::optional<ShippedLog> read_shipped_log(const std::string& path) {
   log.leftovers.reserve(*leftover_count);
   for (std::uint32_t i = 0; i < *leftover_count; ++i) {
     UndeliveredCopy c;
-    if (!get_copy(r, c, *version)) return std::nullopt;
+    if (!get_copy(r, c)) return std::nullopt;
     log.leftovers.push_back(c);
   }
 
@@ -261,11 +241,11 @@ std::optional<ShippedLog> read_shipped_log(const std::string& path) {
   shipped.undelivered.reserve(*undelivered_count);
   for (std::uint32_t i = 0; i < *undelivered_count; ++i) {
     UndeliveredCopy c;
-    if (!get_copy(r, c, *version)) return std::nullopt;
+    if (!get_copy(r, c)) return std::nullopt;
     shipped.undelivered.push_back(c);
   }
 
-  if (!get_counters(r, shipped.counters, *version)) return std::nullopt;
+  if (!get_counters(r, shipped.counters)) return std::nullopt;
   if (!r.done()) return std::nullopt;  // trailing garbage
   return shipped;
 }
@@ -314,16 +294,7 @@ RunResult ship_and_merge(std::vector<ShippedLog> logs, bool terminated) {
   merge.terminated = terminated;
   merge.logs = &process_logs;
   merge.undelivered = std::move(undelivered);
-
-  RunResult result;
-  result.trace = merge_process_logs(merge);
-  result.validation = validate_trace(result.trace);
-  result.global_decision_round = result.trace.global_decision_round();
-  result.agreement = result.trace.agreement_ok();
-  result.validity = result.trace.validity_ok();
-  result.termination =
-      result.trace.terminated() && result.trace.all_correct_decided();
-  return result;
+  return merge_and_judge(merge);
 }
 
 std::map<GroupId, RunResult> ship_and_merge_groups(

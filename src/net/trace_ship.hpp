@@ -8,8 +8,10 @@
 // The oracle does not change because the address spaces did.
 //
 // The file format reuses the wire codec (little-endian primitives, the
-// message registry for delivery payloads), framed by a magic and version
-// so a partial write or foreign file reads as nullopt, never UB.
+// message registry for delivery payloads), framed by a magic and a
+// version, so a partial write or foreign file reads as nullopt, never UB.
+// There is one version (3): a file of any other version, the older 1 and
+// 2 included, reads as foreign.
 
 #pragma once
 
@@ -26,9 +28,7 @@
 namespace indulgence {
 
 /// Everything one OS process contributes to ONE group's merged trace.  A
-/// sharded node hosting G groups ships G of these (same file format, one
-/// record per group); single-group processes ship exactly one with the
-/// legacy group 0.
+/// sharded node hosting G groups ships G of these, one file each.
 struct ShippedLog {
   GroupId group = 0;
   ProcessId self = -1;  ///< group-local pid

@@ -4,11 +4,10 @@
 // fated copies come back to each process through its Mailbox as
 // NetEnvelopes.  Three transports exist: the fault-injecting LiveRouter
 // (router.hpp), the schedule-replaying ScriptTransport (script.hpp), and
-// the supervised socket transport (socket_transport.hpp).
+// the socket fabric's per-group GroupPort (socket_transport.hpp).
 
 #pragma once
 
-#include <chrono>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,7 +23,7 @@ struct NetEnvelope {
   ProcessId sender = -1;  ///< group-local pid
   Round send_round = 0;
   Round target_round = 0;
-  GroupId group = 0;      ///< owning consensus group (0 = legacy single group)
+  GroupId group = 0;      ///< owning consensus group
   MessagePtr payload;
   /// Actual emitter when the copy is forged (sim/byzantine.hpp): `sender`
   /// is the claimed id, `origin` the budgeted liar.  -1 = honest copy.
@@ -53,20 +52,14 @@ class Transport {
   virtual void dispatch(ProcessId sender, Round round, MessagePtr payload) = 0;
 };
 
-/// The control plane the round drivers and the runtime need from any
-/// long-lived transport (the fault-injecting router, the socket hub): crash
-/// reporting, shutdown acceleration, and the teardown flush that turns
-/// still-in-flight copies into the trace's pending records.  The scripted
-/// transport is the one Transport that is NOT supervised — its lifetime is
-/// the replay itself.
+/// The control plane live drivers and the armed stop need from a transport
+/// (the fault-injecting router, a socket GroupPort): crash reporting and
+/// shutdown acceleration.  Whoever owns the transport starts it and, once
+/// every driver has exited, stops it; the copies still in flight then
+/// become the trace's pending records.  The scripted transport is the one
+/// Transport that is NOT supervised — its lifetime is the replay itself.
 class SupervisedTransport : public Transport {
  public:
-  using Clock = std::chrono::steady_clock;
-
-  /// Starts the transport's own threads; `epoch` is the run's t=0 for every
-  /// time-windowed behaviour (GST, partitions, wire chaos).
-  virtual void start(Clock::time_point epoch) = 0;
-
   /// Crashed processes stop receiving; copies addressed to them are dropped
   /// silently (the kernel does the same, and the validator never asks for
   /// deliveries to the dead).
@@ -75,14 +68,6 @@ class SupervisedTransport : public Transport {
   /// Shutdown-drain accelerator: deliver everything still queued as fast as
   /// possible and stop injecting faults, so the final rounds settle fast.
   virtual void expedite() = 0;
-
-  /// Stops the transport's threads and returns the copies that never
-  /// reached a mailbox (they become the trace's pending records).
-  /// Idempotent.
-  virtual std::vector<UndeliveredCopy> stop_and_flush() = 0;
-
-  /// Copies dropped by fault injection (not by dead-receiver filtering).
-  virtual long dropped_copies() const = 0;
 };
 
 }  // namespace indulgence

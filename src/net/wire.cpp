@@ -442,11 +442,6 @@ MessagePtr decode_message(WireReader& in) {
   return decode_message_at_depth(in, 0);
 }
 
-std::size_t encode_hello_into(ProcessId sender, WireWriter& out) {
-  return append_frame(FrameType::Hello, out,
-                      [&](WireWriter& body) { body.i32(sender); });
-}
-
 std::size_t encode_hello2_into(ProcessId sender,
                                const std::vector<GroupId>& groups,
                                WireWriter& out) {
@@ -455,17 +450,6 @@ std::size_t encode_hello2_into(ProcessId sender,
     body.i32(sender);
     body.u32(static_cast<std::uint32_t>(groups.size()));
     for (GroupId group : groups) body.i32(group);
-  });
-}
-
-std::size_t encode_envelope_frame_into(std::uint64_t seq,
-                                       const NetEnvelope& envelope,
-                                       WireWriter& out) {
-  return append_frame(FrameType::Envelope, out, [&](WireWriter& body) {
-    body.u64(seq);
-    body.i32(envelope.send_round);
-    body.i32(envelope.target_round);
-    encode_message(*envelope.payload, body);
   });
 }
 
@@ -492,23 +476,10 @@ std::size_t encode_heartbeat_into(WireWriter& out) {
   return append_frame(FrameType::Heartbeat, out, [](WireWriter&) {});
 }
 
-std::vector<std::uint8_t> encode_hello(ProcessId sender) {
-  WireWriter out;
-  encode_hello_into(sender, out);
-  return out.take();
-}
-
 std::vector<std::uint8_t> encode_hello2(ProcessId sender,
                                         const std::vector<GroupId>& groups) {
   WireWriter out;
   encode_hello2_into(sender, groups, out);
-  return out.take();
-}
-
-std::vector<std::uint8_t> encode_envelope_frame(std::uint64_t seq,
-                                                const NetEnvelope& envelope) {
-  WireWriter out;
-  encode_envelope_frame_into(seq, envelope, out);
   return out.take();
 }
 
@@ -598,16 +569,6 @@ std::optional<Frame> FrameParser::next() {
     WireReader body(buffer_.data() + 5, body_len);
     std::optional<Frame> frame;
     switch (static_cast<FrameType>(raw_type)) {
-      case FrameType::Hello: {
-        auto sender = body.i32();
-        if (sender && body.done()) {
-          Frame f;
-          f.type = FrameType::Hello;
-          f.hello_sender = *sender;
-          frame = std::move(f);
-        }
-        break;
-      }
       case FrameType::Hello2: {
         auto version = body.u32();
         auto sender = body.i32();
@@ -630,24 +591,6 @@ std::optional<Frame> FrameParser::next() {
             }
           }
           if (ok && body.done()) frame = std::move(f);
-        }
-        break;
-      }
-      case FrameType::Envelope: {
-        auto seq = body.u64();
-        auto send_round = body.i32();
-        auto target_round = body.i32();
-        if (seq && send_round && target_round) {
-          MessagePtr payload = decode_message(body);
-          if (payload != nullptr && body.done()) {
-            Frame f;
-            f.type = FrameType::Envelope;
-            f.seq = *seq;
-            f.envelope.send_round = *send_round;
-            f.envelope.target_round = *target_round;
-            f.envelope.payload = std::move(payload);
-            frame = std::move(f);
-          }
         }
         break;
       }
@@ -696,8 +639,9 @@ std::optional<Frame> FrameParser::next() {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + 5 + static_cast<std::ptrdiff_t>(body_len));
     if (frame) return frame;
-    // Malformed body: skip the frame and keep parsing (the peer's
-    // supervisor will redeliver anything that mattered).
+    // Malformed body, or a type no live frame uses (the retired v1 tags
+    // included): skip the frame and keep parsing (the peer's supervisor
+    // will redeliver anything that mattered).
   }
   return std::nullopt;
 }

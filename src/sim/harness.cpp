@@ -17,6 +17,15 @@ std::string RunResult::summary() const {
   return os.str();
 }
 
+void judge_trace(RunResult& result) {
+  result.validation = validate_trace(result.trace);
+  result.global_decision_round = result.trace.global_decision_round();
+  result.agreement = result.trace.agreement_ok();
+  result.validity = result.trace.validity_ok();
+  result.termination =
+      result.trace.terminated() && result.trace.all_correct_decided();
+}
+
 RunResult run_and_check(SystemConfig config, KernelOptions options,
                         const AlgorithmFactory& factory,
                         const std::vector<Value>& proposals,
@@ -25,12 +34,7 @@ RunResult run_and_check(SystemConfig config, KernelOptions options,
   Kernel kernel(config, options, factory, proposals, adversary);
   RunResult result{kernel.run(), {}, std::nullopt, false, false, false};
   if (algorithms_out) *algorithms_out = kernel.take_algorithms();
-  result.validation = validate_trace(result.trace);
-  result.global_decision_round = result.trace.global_decision_round();
-  result.agreement = result.trace.agreement_ok();
-  result.validity = result.trace.validity_ok();
-  result.termination = result.trace.terminated() &&
-                       result.trace.all_correct_decided();
+  judge_trace(result);
   return result;
 }
 
@@ -54,12 +58,7 @@ const RunResult& RunContext::run(const AlgorithmFactory& factory,
                                  Adversary& adversary) {
   execute_run(config_, options_, factory, proposals, adversary, scratch_,
               result_.trace);
-  result_.validation = validate_trace(result_.trace);
-  result_.global_decision_round = result_.trace.global_decision_round();
-  result_.agreement = result_.trace.agreement_ok();
-  result_.validity = result_.trace.validity_ok();
-  result_.termination =
-      result_.trace.terminated() && result_.trace.all_correct_decided();
+  judge_trace(result_);
   return result_;
 }
 

@@ -39,6 +39,11 @@ struct RunResult {
   std::string summary() const;
 };
 
+/// Fills the verdict of `result` from its trace: the validator report, the
+/// global decision round, and agreement, validity and termination.  Every
+/// engine (the kernel, the live runtimes, shipped logs) judges through it.
+void judge_trace(RunResult& result);
+
 /// The algorithm instances of a finished run, for state inspection (tests
 /// read final Halt sets / new estimates through them).
 using AlgorithmInstances = std::vector<std::unique_ptr<RoundAlgorithm>>;

@@ -269,7 +269,7 @@ TEST(WireCodec, EncodingAnUnregisteredTypeThrows) {
 
 TEST(FrameParser, ControlFramesRoundTrip) {
   FrameParser parser;
-  const std::vector<std::uint8_t> hello = encode_hello(3);
+  const std::vector<std::uint8_t> hello = encode_hello2(3, {1, 4});
   const std::vector<std::uint8_t> ack = encode_ack(77);
   const std::vector<std::uint8_t> hb = encode_heartbeat();
   parser.feed(hello.data(), hello.size());
@@ -278,8 +278,9 @@ TEST(FrameParser, ControlFramesRoundTrip) {
 
   auto f1 = parser.next();
   ASSERT_TRUE(f1.has_value());
-  EXPECT_EQ(f1->type, FrameType::Hello);
+  EXPECT_EQ(f1->type, FrameType::Hello2);
   EXPECT_EQ(f1->hello_sender, 3);
+  EXPECT_EQ(f1->hello_groups, (std::vector<GroupId>{1, 4}));
 
   auto f2 = parser.next();
   ASSERT_TRUE(f2.has_value());
@@ -293,36 +294,12 @@ TEST(FrameParser, ControlFramesRoundTrip) {
   EXPECT_EQ(parser.buffered(), 0u);
 }
 
-TEST(FrameParser, EnvelopeSurvivesByteAtATimeFeeding) {
-  NetEnvelope env;
-  env.sender = 1;
-  env.send_round = 6;
-  env.target_round = 0;
-  env.payload = std::make_shared<At2EstimateMessage>(
-      5, ProcessSet::from_mask(0b1101));
-  const std::vector<std::uint8_t> frame = encode_envelope_frame(42, env);
-
-  FrameParser parser;
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    parser.feed(&frame[i], 1);
-    if (i + 1 < frame.size()) {
-      EXPECT_FALSE(parser.next().has_value()) << "byte " << i;
-    }
-  }
-  auto decoded = parser.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, FrameType::Envelope);
-  EXPECT_EQ(decoded->seq, 42u);
-  EXPECT_EQ(decoded->envelope.send_round, 6);
-  EXPECT_EQ(decoded->envelope.payload->describe(), env.payload->describe());
-}
-
 TEST(FrameParser, MalformedBodyIsSkippedAndParsingContinues) {
   // An envelope frame whose body is garbage, followed by a valid ack: the
   // parser must drop the bad frame and still produce the ack.
   WireWriter bad;
   bad.u32(3);  // body length
-  bad.u8(static_cast<std::uint8_t>(FrameType::Envelope));
+  bad.u8(static_cast<std::uint8_t>(FrameType::Envelope2));
   bad.u8(0xde);
   bad.u8(0xad);
   bad.u8(0x99);
@@ -352,11 +329,14 @@ TEST(FrameParser, OversizeFramePoisonsTheStream) {
 }
 
 TEST(FrameParser, TrailingGarbageInBodyIsRejected) {
-  // A hello body with 4 extra bytes: decoders require body.done().
+  // A HELLO2 body advertising no groups, plus 4 extra bytes: decoders
+  // require body.done().
   WireWriter w;
-  w.u32(8);
-  w.u8(static_cast<std::uint8_t>(FrameType::Hello));
+  w.u32(16);
+  w.u8(static_cast<std::uint8_t>(FrameType::Hello2));
+  w.u32(kWireVersion);
   w.i32(2);
+  w.u32(0);
   w.i32(0xbeef);
   FrameParser parser;
   parser.feed(w.bytes().data(), w.bytes().size());
@@ -453,32 +433,43 @@ TEST(WireV2, Envelope2SurvivesByteAtATimeFeeding) {
   EXPECT_EQ(decoded->envelope.payload->describe(), env.payload->describe());
 }
 
-TEST(WireV2, LegacyV1FramesDecodeAsGroupZero) {
-  // A v1 peer's bytes: HELLO carries no version or group set, ENVELOPE no
-  // group or sender field.  Both must still parse, with the v2 defaults the
-  // endpoint relies on (group 0, sender derived from the link).
-  const std::vector<std::uint8_t> hello = encode_hello(3);
+TEST(WireV2, RetiredV1FramesAreSkippedLikeUnknownTypes) {
+  // Tags 1 and 2 were version 1's HELLO (i32 sender) and ENVELOPE (u64 seq
+  // | i32 send_round | i32 target_round | message).  Both are retired: a
+  // well-formed frame of either is skipped like any unknown type, and the
+  // ENVELOPE2 behind them still parses.
+  WireWriter w;
+  w.u32(4);
+  w.u8(1);
+  w.i32(3);
+  WireWriter v1_body;
+  v1_body.u64(9);
+  v1_body.i32(2);
+  v1_body.i32(0);
+  encode_message(DecideMessage(-7), v1_body);
+  w.u32(static_cast<std::uint32_t>(v1_body.size()));
+  w.u8(2);
+  for (std::uint8_t b : v1_body.bytes()) w.u8(b);
   NetEnvelope env;
+  env.group = 4;
+  env.sender = 1;
   env.send_round = 2;
   env.payload = std::make_shared<DecideMessage>(-7);
-  const std::vector<std::uint8_t> envelope = encode_envelope_frame(9, env);
+  const std::vector<std::uint8_t> envelope = encode_envelope_frame2(10, env);
 
   FrameParser parser;
-  parser.feed(hello.data(), hello.size());
+  parser.feed(w.bytes().data(), w.bytes().size());
   parser.feed(envelope.data(), envelope.size());
-
-  auto h = parser.next();
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->type, FrameType::Hello);
-  EXPECT_EQ(h->hello_version, 1u);
-  EXPECT_TRUE(h->hello_groups.empty());
-
-  auto e = parser.next();
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->type, FrameType::Envelope);
-  EXPECT_EQ(e->envelope.group, 0);
-  EXPECT_EQ(e->envelope.sender, -1);
-  EXPECT_EQ(e->envelope.payload->describe(), env.payload->describe());
+  auto f = parser.next();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->type, FrameType::Envelope2);
+  EXPECT_EQ(f->seq, 10u);
+  EXPECT_EQ(f->envelope.group, 4);
+  EXPECT_EQ(f->envelope.sender, 1);
+  EXPECT_EQ(f->envelope.payload->describe(), env.payload->describe());
+  EXPECT_FALSE(parser.next().has_value());
+  EXPECT_FALSE(parser.poisoned());
+  EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(WireV2, Hello2OverstatedGroupCountIsSkippedNotAllocated) {
@@ -650,14 +641,10 @@ NetEnvelope envelope_of(MessagePtr payload) {
 
 TEST(WireInto, ControlFramesMatchLegacyBytes) {
   WireWriter w;
-  const std::size_t hello_len = encode_hello_into(4, w);
-  EXPECT_EQ(w.bytes(), encode_hello(4));
-  EXPECT_EQ(hello_len, w.size());
-
-  w.clear();
   const std::vector<GroupId> groups{0, 2, 5};
-  encode_hello2_into(4, groups, w);
+  const std::size_t hello_len = encode_hello2_into(4, groups, w);
   EXPECT_EQ(w.bytes(), encode_hello2(4, groups));
+  EXPECT_EQ(hello_len, w.size());
 
   w.clear();
   encode_ack_into(0xdeadbeefcafeULL, w);
@@ -672,12 +659,6 @@ TEST(WireInto, EnvelopeFramesMatchLegacyBytesForEveryRegistryTag) {
   for (const MessagePtr& payload : registry_samples()) {
     const NetEnvelope env = envelope_of(payload);
     WireWriter w;
-    const std::size_t n1 = encode_envelope_frame_into(91, env, w);
-    EXPECT_EQ(w.bytes(), encode_envelope_frame(91, env))
-        << payload->describe();
-    EXPECT_EQ(n1, w.size()) << payload->describe();
-
-    w.clear();
     const std::size_t n2 = encode_envelope_frame2_into(92, env, w);
     EXPECT_EQ(w.bytes(), encode_envelope_frame2(92, env))
         << payload->describe();

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "consensus/hurfin_raynal.hpp"
@@ -255,6 +259,34 @@ TEST(Sharded, RejectsPlacementThatCannotUseDistinctNodes) {
   EXPECT_THROW(run_sharded(options, [](GroupId) { return at2(); },
                            distinct_per_group(options.config.n)),
                std::invalid_argument);
+}
+
+TEST(Sharded, ARunThatThrowsLeavesNoSocketDirectoryBehind) {
+  // The Unix-domain sockets live in a directory the fabric makes under
+  // TMPDIR.  A run that throws after its endpoints started — here on a
+  // proposal vector one short — must still remove it.
+  std::string tmpdir = (std::filesystem::temp_directory_path() /
+                        "indulgence-tmpdir-test-XXXXXX")
+                           .string();
+  ASSERT_NE(::mkdtemp(tmpdir.data()), nullptr);
+  const char* saved = std::getenv("TMPDIR");
+  const std::optional<std::string> old_tmpdir =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  ::setenv("TMPDIR", tmpdir.c_str(), 1);
+
+  const ShardedOptions options = base_options(2, 3);
+  EXPECT_THROW(run_sharded(options, [](GroupId) { return at2(); },
+                           [](GroupId) { return std::vector<Value>{1, 2}; }),
+               std::invalid_argument);
+
+  if (old_tmpdir) {
+    ::setenv("TMPDIR", old_tmpdir->c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir))
+      << std::filesystem::directory_iterator(tmpdir)->path();
+  std::filesystem::remove_all(tmpdir);
 }
 
 // ---------------------------------------------------------------------------

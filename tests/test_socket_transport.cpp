@@ -1,6 +1,7 @@
 // The supervised socket transport: backoff math and the reconnect schedule
 // under an injected clock, endpoint-level delivery and redelivery, and full
-// consensus runs over the in-process SocketHub — clean and under seeded
+// consensus runs over the in-process socket fabric (LiveRuntime's socket
+// transport; the SocketHub test names predate it) — clean and under seeded
 // wire chaos, UDS and TCP — judged by the unchanged model validator.
 
 #include "net/socket_transport.hpp"
@@ -136,6 +137,18 @@ std::string fresh_socket_dir() {
   return tmpl;
 }
 
+/// Registers replica `pid` of group 0 with `endpoint`, under identity
+/// placement: node i hosts replica i.
+void host_replica(SocketEndpoint& endpoint, const SystemConfig& cfg,
+                  ProcessId pid, Mailbox* inbox) {
+  GroupSpec spec;
+  spec.config = cfg;
+  spec.self = pid;
+  for (int node = 0; node < cfg.n; ++node) spec.members.push_back(node);
+  spec.inbox = inbox;
+  endpoint.add_group(std::move(spec));
+}
+
 TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
   const SystemConfig cfg{.n = 3, .t = 1};
   const std::string dir = fresh_socket_dir();
@@ -150,14 +163,14 @@ TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
     mailboxes.push_back(std::make_unique<Mailbox>(1024));
     SocketTransportOptions opts;
     opts.seed = 100 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   const auto epoch = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(epoch);
 
-  endpoints[0]->dispatch(0, 1,
-                         std::make_shared<FloodEstimateMessage>(Value{5}));
+  endpoints[0]->dispatch_group(
+      0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{5}));
   for (ProcessId pid = 1; pid < cfg.n; ++pid) {
     auto env = mailboxes[static_cast<std::size_t>(pid)]->pop_for(2s);
     ASSERT_TRUE(env.has_value()) << "p" << pid << " got nothing";
@@ -192,20 +205,19 @@ TEST(SocketEndpoint, DispatchRejectsForeignSenders) {
         SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
   }
   Mailbox mailbox(64);
-  SocketEndpoint ep(0, cfg, addrs, SocketTransportOptions{}, &mailbox);
-  EXPECT_THROW(ep.dispatch(1, 1, std::make_shared<FillerMessage>()),
+  SocketEndpoint ep(0, addrs, SocketTransportOptions{});
+  host_replica(ep, cfg, 0, &mailbox);
+  EXPECT_THROW(ep.dispatch_group(0, 1, 1, std::make_shared<FillerMessage>()),
                std::logic_error);
   ep.stop_and_flush();
   std::filesystem::remove_all(dir);
 }
 
 TEST(SocketEndpoint, TcpListenerResolvesEphemeralPort) {
-  const SystemConfig cfg{.n = 3, .t = 1};
-  Mailbox mailbox(64);
   SocketEndpoint ep(
-      0, cfg, SocketAddress::tcp_loopback(0),
+      0, 3, SocketAddress::tcp_loopback(0),
       [](ProcessId) -> std::optional<SocketAddress> { return std::nullopt; },
-      SocketTransportOptions{}, &mailbox);
+      SocketTransportOptions{});
   EXPECT_GT(ep.listen_address().port, 0);
   ep.stop_and_flush();
 }
@@ -331,12 +343,12 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Full consensus runs over the hub
+// Full consensus runs over the in-process fabric
 // ---------------------------------------------------------------------------
 
-RunResult run_over_hub(SocketAddress::Kind kind,
-                       const SocketTransportOptions& socket_options,
-                       SocketCounters* counters_out) {
+RunResult run_over_fabric(SocketAddress::Kind kind,
+                          const SocketTransportOptions& socket_options,
+                          SocketCounters* counters_out) {
   const SystemConfig cfg{.n = 3, .t = 1};
   const FuzzTarget* target = find_fuzz_target("hr");
   EXPECT_NE(target, nullptr);
@@ -355,7 +367,7 @@ TEST(SocketHub, CleanUdsRunSatisfiesTheValidator) {
   SocketTransportOptions opts;
   opts.seed = 21;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_fabric(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.envelopes_delivered, 0);
@@ -367,7 +379,7 @@ TEST(SocketHub, CleanTcpRunSatisfiesTheValidator) {
   SocketTransportOptions opts;
   opts.seed = 22;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Tcp, opts, &counters);
+      run_over_fabric(SocketAddress::Kind::Tcp, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.envelopes_delivered, 0);
@@ -390,7 +402,7 @@ TEST(SocketHub, ChaoticUdsRunStillDecidesAndValidates) {
   opts.chaos.short_write_prob = 0.3;
   SocketCounters counters;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_fabric(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   const long injected = counters.injected_resets + counters.injected_stalls +
@@ -415,7 +427,7 @@ TEST(SocketHub, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
   opts.chaos.reset_prob = 0.9;
   SocketCounters counters;
   const RunResult result =
-      run_over_hub(SocketAddress::Kind::Unix, opts, &counters);
+      run_over_fabric(SocketAddress::Kind::Unix, opts, &counters);
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
   EXPECT_GT(counters.injected_resets, 0) << "chaos never reset a link";
@@ -541,12 +553,12 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
     mailboxes.push_back(std::make_unique<Mailbox>(kBacklog + 64));
     SocketTransportOptions opts;
     opts.seed = 700 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   for (int i = 0; i < kBacklog; ++i) {
-    endpoints[0]->dispatch(0, 1,
-                           std::make_shared<FloodEstimateMessage>(Value{i}));
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -605,14 +617,14 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
     opts.chaos.seed = 900 + static_cast<std::uint64_t>(pid);
     opts.chaos.until = std::chrono::hours{1};  // chaos for the whole test
     opts.chaos.short_write_prob = 1.0;         // dribble EVERY frame
-    endpoints.push_back(std::make_unique<SocketEndpoint>(
-        pid, cfg, addrs, opts, mailboxes.back().get()));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   const auto start = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(start);
   for (int i = 0; i < kMessages; ++i) {
-    endpoints[0]->dispatch(0, 1,
-                           std::make_shared<FloodEstimateMessage>(Value{i}));
+    endpoints[0]->dispatch_group(
+        0, 0, 1, std::make_shared<FloodEstimateMessage>(Value{i}));
   }
   for (ProcessId pid = 1; pid < cfg.n; ++pid) {
     for (int i = 0; i < kMessages; ++i) {
