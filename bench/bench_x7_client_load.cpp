@@ -50,6 +50,14 @@ struct CellSpec {
   int outstanding = 4;
 };
 
+/// Every grid cell's wall cap.  The round cap follows from it at a round
+/// rate far above what these cells reach (under 10,000 rounds/s on a
+/// 4-vCPU x86-64 VM), so the deadline, not a round budget sized to one
+/// host's speed, stops a stalled cell: the open-loop cells have no round
+/// floor and run as many rounds as the host allows.
+constexpr std::chrono::seconds kCellDeadline{40};
+constexpr Round kRoundRateCeiling = 25'000;  ///< rounds per second
+
 const char* mode_name(LoopMode mode) {
   switch (mode) {
     case LoopMode::Closed: return "closed";
@@ -69,7 +77,8 @@ CampaignReport run_cell(const CellSpec& spec, std::uint64_t seed) {
   config.rsm.slot_window = 1;
   config.rsm.slot_burst = spec.burst;
   config.rsm.decide_retention = 8;
-  config.live.max_rounds = 12'000;
+  config.live.max_rounds =
+      static_cast<Round>(kCellDeadline.count()) * kRoundRateCeiling;
   config.live.seed = seed;
   if (spec.chaos) {
     // Late stabilization: 3 ms of slow, jittery pre-GST links — the
@@ -91,7 +100,7 @@ CampaignReport run_cell(const CellSpec& spec, std::uint64_t seed) {
   w.pending_window = 64;
   w.warmup_commands = spec.warmup;
   w.measure_commands = spec.measure;
-  w.deadline = std::chrono::microseconds{40'000'000};
+  w.deadline = kCellDeadline;
   // A dead home replica never proposes its queued commands; the abandon
   // path (never resubmission) is what keeps the closed loop moving.
   if (spec.crash) w.ack_timeout = std::chrono::microseconds{250'000};

@@ -173,27 +173,26 @@ void ClientFleet::abandon_expired_locked(Client& c) {
 }
 
 void ClientFleet::closed_loop(Client& c) {
+  // Fills the window; after that every ack submits its own replacement
+  // (on_commit), so this thread only refills what abandonment frees.
   const long k = options_.outstanding;
   const bool timed = options_.ack_timeout.count() > 0;
+  const auto stopped = [&] { return stop_.load(std::memory_order_relaxed); };
   std::unique_lock<std::mutex> lock(c.mutex);
-  while (!stop_.load(std::memory_order_relaxed)) {
+  while (!stopped()) {
     if (timed) abandon_expired_locked(c);
     if (static_cast<long>(c.outstanding.size()) < k) {
       submit_locked(c);
       continue;
     }
-    const auto space = [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             static_cast<long>(c.outstanding.size()) < k;
-    };
     if (timed) {
       // Wake at least every half-timeout so abandons are detected.
       c.cv.wait_for(lock,
                     std::min(options_.ack_timeout / 2,
                              std::chrono::microseconds{100'000}),
-                    space);
+                    stopped);
     } else {
-      c.cv.wait(lock, space);
+      c.cv.wait(lock, stopped);
     }
   }
 }
@@ -261,7 +260,10 @@ void ClientFleet::on_commit(Value value) {
                         options_.sample_period.count())),
           bins_.size() - 1);
       bins_[bin].fetch_add(1, std::memory_order_relaxed);
-      c.cv.notify_all();
+      // A closed-loop client's replacement goes out here, on the committing
+      // thread, instead of waking the client thread for it.  submit_locked
+      // grows c.states, so `state` is not used past this point.
+      if (options_.mode == LoopMode::Closed) submit_locked(c);
       break;
     }
     case CommandState::Acked:

@@ -5,17 +5,22 @@
 //
 //   client threads --push--> per-(group, replica) IngestQueue
 //     --RsmCommandSource pull--> RsmReplica slots (driver threads)
-//     --RsmCommitCallback--> fleet ack path (latency histogram, samples)
+//     --RsmCommitCallback--> fleet ack path (latency histogram, samples;
+//        a closed-loop ack pushes its replacement to the IngestQueue)
 //
 // Loop modes:
 //   * Closed — each client keeps exactly `outstanding` commands in flight
 //     and submits a replacement on every ack: the classic
-//     fixed-concurrency throughput probe.
+//     fixed-concurrency throughput probe.  The ack path submits it on the
+//     committing driver thread, so no ack wakes a client thread; the
+//     client thread only fills the window at start and refills what
+//     ack-timeout abandonment frees.
 //   * OpenPoisson / OpenBursty — arrivals follow a deterministic seeded
 //     ArrivalProcess regardless of acks (the latency-under-offered-load
-//     probe).  Backpressure is explicit: when a client's pending window is
-//     full, the arrival is SHED and counted, never queued — an open-loop
-//     client must not silently turn into a closed-loop one.
+//     probe); the client thread wakes only at its next arrival instant.
+//     Backpressure is explicit: when a client's pending window is full,
+//     the arrival is SHED and counted, never queued — an open-loop client
+//     must not silently turn into a closed-loop one.
 //
 // Exactly-once by construction: every command is encoded with its owning
 // (client, seq), pushed to exactly one home replica's queue, and proposed

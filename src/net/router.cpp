@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace indulgence {
 
 namespace {
@@ -123,6 +127,13 @@ void LiveRouter::fan_out(const Inbound& item, Clock::time_point now) {
 }
 
 void LiveRouter::loop() {
+#if defined(__linux__)
+  // A post-GST copy is due 20-100 us after its dispatch by default, and the
+  // kernel's default 50 us timer slack would let the timed wait below fire
+  // up to that much past the release instant.  1 ns is the smallest slack;
+  // 0 would restore the default.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   for (;;) {
     const Clock::time_point now = Clock::now();
     release_due(now);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "client/campaign.hpp"
 #include "consensus/hurfin_raynal.hpp"
@@ -97,6 +99,44 @@ TEST(ClientWorkload, RoutingMatchesGroupHashAndStaysInRange) {
       EXPECT_EQ(home, fleet.home_replica_of(v));
     }
   }
+}
+
+TEST(ClientWorkload, ClosedLoopAckSubmitsItsReplacementBeforeReturning) {
+  // The ack path itself keeps the window full: by the time the commit
+  // callback returns, the replacement is in the home queue, with no client
+  // thread in between.
+  WorkloadOptions w;
+  w.mode = LoopMode::Closed;
+  w.num_clients = 1;
+  w.outstanding = 2;
+  ClientFleet fleet(w, /*num_groups=*/1, /*replicas_per_group=*/1);
+  const RsmCommandSource source = fleet.source_for(0, 0);
+  const RsmCommitCallback commit = fleet.commit_for(0, 0);
+  fleet.start(std::chrono::steady_clock::now());
+
+  // The client thread's initial fill.
+  std::vector<Value> fill;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (fill.size() < 2 && std::chrono::steady_clock::now() < give_up) {
+    if (const auto cmd = source()) {
+      fill.push_back(*cmd);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  }
+  ASSERT_EQ(fill.size(), 2u);
+  EXPECT_EQ(fill[0], encode_command(0, 0));
+  EXPECT_EQ(fill[1], encode_command(0, 1));
+
+  commit(0, fill[0], 2);
+  EXPECT_EQ(source(), encode_command(0, 2));
+  EXPECT_FALSE(source().has_value());
+
+  fleet.finish();
+  const FleetCounters counts = fleet.counters();
+  EXPECT_EQ(counts.submitted, 3);
+  EXPECT_EQ(counts.acked, 1);
 }
 
 TEST(ClientWorkload, RejectsInvalidOptions) {
