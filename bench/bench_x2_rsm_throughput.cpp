@@ -16,19 +16,10 @@
 // The (algorithm, scenario) grid runs on the campaign engine; the table is
 // identical at any job count, and timing goes to stderr.
 
-#include "bench_util.hpp"
-#include "rsm/rsm.hpp"
+#include "live_rsm_cell.hpp"
 
 namespace indulgence {
 namespace {
-
-std::function<std::vector<Value>(ProcessId)> streams(int per_replica) {
-  return [per_replica](ProcessId id) {
-    std::vector<Value> cmds;
-    for (int i = 0; i < per_replica; ++i) cmds.push_back(100 * (id + 1) + i);
-    return cmds;
-  };
-}
 
 struct Measure {
   bool ok = false;
@@ -47,7 +38,8 @@ Measure measure(const SystemConfig& cfg, const AlgorithmFactory& slot_factory,
 
   AlgorithmInstances instances;
   RunResult r = run_and_check(cfg, kopt,
-                              rsm_factory(slot_factory, streams(slots), opt),
+                              rsm_factory(slot_factory, bench::streams(slots),
+                                          opt),
                               distinct_proposals(cfg.n), adversary,
                               &instances);
   Measure m;

@@ -13,13 +13,10 @@
 // number — commits/s, p50/p99 per-command commit latency, rounds executed
 // — goes to stderr, where machine-dependent output belongs.
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "net/runtime.hpp"
-#include "rsm/rsm.hpp"
+#include "live_rsm_cell.hpp"
 
 namespace indulgence {
 namespace {
@@ -27,101 +24,18 @@ namespace {
 constexpr int kSlots = 8;
 constexpr Round kWindow = 2;
 
-std::function<std::vector<Value>(ProcessId)> streams(int per_replica) {
-  return [per_replica](ProcessId id) {
-    std::vector<Value> cmds;
-    for (int i = 0; i < per_replica; ++i) cmds.push_back(100 * (id + 1) + i);
-    return cmds;
-  };
-}
-
 struct Cell {
   SystemConfig cfg;
   std::string scenario;
   LiveOptions options;
 };
 
-struct Outcome {
-  bool committed = false;
-  bool trace_valid = false;
-  Round rounds = 0;
-  Round gst_round = 0;
-  double seconds = 0;
-  std::vector<double> latencies_us;  ///< per (live replica, slot) commit
-};
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(rank, values.size() - 1)];
-}
-
-Outcome run_cell(const Cell& cell) {
-  LiveRuntime runtime(cell.cfg, cell.options);
-  runtime.set_done_predicate([](const RoundAlgorithm& algorithm) {
-    const auto* rep = dynamic_cast<const RsmReplica*>(&algorithm);
-    return rep && rep->all_slots_committed();
-  });
-
-  // Per-process wall-clock of each completed round; each slot is touched
-  // only by its own driver thread.
-  std::vector<std::vector<double>> round_us(
-      static_cast<std::size_t>(cell.cfg.n));
-  runtime.set_observer([&round_us](ProcessId pid, Round k,
-                                   const RoundAlgorithm&,
-                                   std::chrono::microseconds since_start) {
-    auto& mine = round_us[static_cast<std::size_t>(pid)];
-    if (static_cast<Round>(mine.size()) < k) {
-      mine.resize(static_cast<std::size_t>(k), 0);
-    }
-    mine[static_cast<std::size_t>(k) - 1] =
-        static_cast<double>(since_start.count());
-  });
-
-  RsmOptions opt;
-  opt.num_slots = kSlots;
-  opt.slot_window = kWindow;
-
+bench::LiveRsmOutcome run_cell(const Cell& cell) {
   At2Options ff;
   ff.failure_free_opt = true;
-  const AlgorithmFactory factory =
-      rsm_factory(at2_factory(hurfin_raynal_factory(), ff), streams(kSlots),
-                  opt);
-
-  bench::Stopwatch watch;
-  const RunResult result =
-      runtime.run(factory, distinct_proposals(cell.cfg.n));
-
-  Outcome out;
-  out.seconds = watch.seconds();
-  out.trace_valid = result.validation.ok();
-  out.rounds = result.trace.rounds_executed();
-  out.gst_round = result.trace.gst();
-  out.committed = true;
-  for (ProcessId pid = 0; pid < cell.cfg.n; ++pid) {
-    if (result.trace.crashed().contains(pid)) continue;
-    const auto* rep = dynamic_cast<const RsmReplica*>(
-        runtime.algorithms()[static_cast<std::size_t>(pid)].get());
-    if (!rep || !rep->all_slots_committed()) {
-      out.committed = false;
-      continue;
-    }
-    const auto& mine = round_us[static_cast<std::size_t>(pid)];
-    for (int s = 0; s < kSlots; ++s) {
-      const Round commit = rep->commit_round(s);
-      const Round open = static_cast<Round>(s) * kWindow + 1;
-      if (commit < 1 || static_cast<std::size_t>(commit) > mine.size()) {
-        continue;
-      }
-      const double opened =
-          open >= 2 ? mine[static_cast<std::size_t>(open) - 2] : 0.0;
-      out.latencies_us.push_back(
-          mine[static_cast<std::size_t>(commit) - 1] - opened);
-    }
-  }
-  return out;
+  return bench::run_live_rsm(cell.cfg, kSlots, kWindow,
+                             at2_factory(hurfin_raynal_factory(), ff),
+                             cell.options);
 }
 
 }  // namespace
@@ -154,7 +68,7 @@ int main() {
   bench::Stopwatch watch;
   Table table({"n", "t", "scenario", "all committed", "trace valid"});
   for (const Cell& cell : cells) {
-    const Outcome out = run_cell(cell);
+    const bench::LiveRsmOutcome out = run_cell(cell);
     ++runs;
     ok &= out.committed && out.trace_valid;
     table.add(cell.cfg.n, cell.cfg.t, cell.scenario,
@@ -166,8 +80,8 @@ int main() {
                  "X5 n=%d %-14s %2d rounds (gst round %d), %6.0f commits/s, "
                  "commit latency p50 %7.0f us  p99 %7.0f us\n",
                  cell.cfg.n, cell.scenario.c_str(), out.rounds, out.gst_round,
-                 throughput, percentile(out.latencies_us, 0.50),
-                 percentile(out.latencies_us, 0.99));
+                 throughput, bench::percentile_of(out.latencies_us, 0.50),
+                 bench::percentile_of(out.latencies_us, 0.99));
   }
   table.print(std::cout, "X5: 8-command log, A_{t+2}+ff slots, window 2");
   std::cout

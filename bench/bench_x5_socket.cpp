@@ -14,27 +14,16 @@
 // supervisor counters (reconnects, resends, injected faults — all
 // timing-dependent) go to stderr.
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "net/runtime.hpp"
-#include "rsm/rsm.hpp"
+#include "live_rsm_cell.hpp"
 
 namespace indulgence {
 namespace {
 
 constexpr int kSlots = 8;
 constexpr Round kWindow = 2;
-
-std::function<std::vector<Value>(ProcessId)> streams(int per_replica) {
-  return [per_replica](ProcessId id) {
-    std::vector<Value> cmds;
-    for (int i = 0; i < per_replica; ++i) cmds.push_back(100 * (id + 1) + i);
-    return cmds;
-  };
-}
 
 struct Cell {
   SystemConfig cfg;
@@ -43,77 +32,13 @@ struct Cell {
   SocketTransportOptions socket_options;
 };
 
-struct Outcome {
-  bool committed = false;
-  bool trace_valid = false;
-  Round rounds = 0;
-  double seconds = 0;
-  std::vector<double> latencies_us;  ///< per (replica, slot) commit
-  SocketCounters counters;
-};
-
-Outcome run_cell(const Cell& cell) {
-  LiveOptions options;  // rounds as fast as the sockets carry them
-  LiveRuntime runtime(cell.cfg, options);
-  runtime.use_socket_transport(cell.kind, cell.socket_options);
-  runtime.set_done_predicate([](const RoundAlgorithm& algorithm) {
-    const auto* rep = dynamic_cast<const RsmReplica*>(&algorithm);
-    return rep && rep->all_slots_committed();
-  });
-
-  std::vector<std::vector<double>> round_us(
-      static_cast<std::size_t>(cell.cfg.n));
-  runtime.set_observer([&round_us](ProcessId pid, Round k,
-                                   const RoundAlgorithm&,
-                                   std::chrono::microseconds since_start) {
-    auto& mine = round_us[static_cast<std::size_t>(pid)];
-    if (static_cast<Round>(mine.size()) < k) {
-      mine.resize(static_cast<std::size_t>(k), 0);
-    }
-    mine[static_cast<std::size_t>(k) - 1] =
-        static_cast<double>(since_start.count());
-  });
-
-  RsmOptions opt;
-  opt.num_slots = kSlots;
-  opt.slot_window = kWindow;
+bench::LiveRsmOutcome run_cell(const Cell& cell) {
   At2Options ff;
   ff.failure_free_opt = true;
-  const AlgorithmFactory factory =
-      rsm_factory(at2_factory(hurfin_raynal_factory(), ff), streams(kSlots),
-                  opt);
-
-  bench::Stopwatch watch;
-  const RunResult result =
-      runtime.run(factory, distinct_proposals(cell.cfg.n));
-
-  Outcome out;
-  out.seconds = watch.seconds();
-  out.trace_valid = result.validation.ok();
-  out.rounds = result.trace.rounds_executed();
-  out.counters = runtime.socket_counters();
-  out.committed = true;
-  for (ProcessId pid = 0; pid < cell.cfg.n; ++pid) {
-    const auto* rep = dynamic_cast<const RsmReplica*>(
-        runtime.algorithms()[static_cast<std::size_t>(pid)].get());
-    if (!rep || !rep->all_slots_committed()) {
-      out.committed = false;
-      continue;
-    }
-    const auto& mine = round_us[static_cast<std::size_t>(pid)];
-    for (int s = 0; s < kSlots; ++s) {
-      const Round commit = rep->commit_round(s);
-      const Round open = static_cast<Round>(s) * kWindow + 1;
-      if (commit < 1 || static_cast<std::size_t>(commit) > mine.size()) {
-        continue;
-      }
-      const double opened =
-          open >= 2 ? mine[static_cast<std::size_t>(open) - 2] : 0.0;
-      out.latencies_us.push_back(
-          mine[static_cast<std::size_t>(commit) - 1] - opened);
-    }
-  }
-  return out;
+  // LiveOptions{}: rounds as fast as the sockets carry them.
+  return bench::run_live_rsm(cell.cfg, kSlots, kWindow,
+                             at2_factory(hurfin_raynal_factory(), ff),
+                             LiveOptions{}, cell.kind, cell.socket_options);
 }
 
 SocketTransportOptions chaotic(std::uint64_t seed) {
@@ -166,7 +91,7 @@ int main() {
   json.key("cells").begin_array();
   Table table({"n", "t", "transport", "all committed", "trace valid"});
   for (const Cell& cell : cells) {
-    const Outcome out = run_cell(cell);
+    const bench::LiveRsmOutcome out = run_cell(cell);
     ++runs;
     ok &= out.committed && out.trace_valid;
     table.add(cell.cfg.n, cell.cfg.t, cell.scenario,
@@ -177,17 +102,13 @@ int main() {
         out.seconds > 0 ? static_cast<double>(kSlots) / out.seconds : 0;
     const double p50 = bench::percentile_of(out.latencies_us, 0.50);
     const double p99 = bench::percentile_of(out.latencies_us, 0.99);
-    const long injected = c.injected_resets + c.injected_stalls +
-                          c.injected_short_writes +
-                          c.injected_connect_failures +
-                          c.injected_accept_closes;
     std::fprintf(
         stderr,
         "X5-socket n=%d %-12s %2d rounds, %6.0f commits/s, commit latency "
         "p50 %7.0f us  p99 %7.0f us | %ld reconnects, %ld resends, %ld "
         "injected faults\n",
         cell.cfg.n, cell.scenario.c_str(), out.rounds, commits_per_sec, p50,
-        p99, c.reconnects, c.envelopes_resent, injected);
+        p99, c.reconnects, c.envelopes_resent, c.injected_faults());
     json.begin_object();
     json.key("n").value(cell.cfg.n);
     json.key("t").value(cell.cfg.t);
@@ -205,7 +126,7 @@ int main() {
     json.key("flush_syscalls").value(c.flush_syscalls);
     json.key("duplicates_dropped").value(c.duplicates_dropped);
     json.key("peer_timeouts").value(c.peer_timeouts);
-    json.key("injected_faults").value(injected);
+    json.key("injected_faults").value(c.injected_faults());
     json.end_object();
     json.end_object();
     if (cell.cfg.n == 3 && cell.scenario == "UDS") {

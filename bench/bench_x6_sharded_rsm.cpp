@@ -211,8 +211,7 @@ int main() {
         out.seconds, out.commits_per_sec, out.group_wall_p50_us,
         out.group_wall_p99_us, c.reconnects, c.envelopes_resent,
         c.demux_drops,
-        c.injected_resets + c.injected_stalls + c.injected_short_writes +
-            c.injected_connect_failures + c.injected_accept_closes);
+        c.injected_faults());
 
     json.begin_object();
     json.key("groups").value(cell.groups);
@@ -231,10 +230,7 @@ int main() {
     json.key("duplicates_dropped").value(c.duplicates_dropped);
     json.key("demux_drops").value(c.demux_drops);
     json.key("peer_timeouts").value(c.peer_timeouts);
-    json.key("injected_faults")
-        .value(c.injected_resets + c.injected_stalls +
-               c.injected_short_writes + c.injected_connect_failures +
-               c.injected_accept_closes);
+    json.key("injected_faults").value(c.injected_faults());
     json.end_object();
     json.end_object();
   }

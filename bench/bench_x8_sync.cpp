@@ -31,15 +31,12 @@
 // stdout is the deterministic correctness table; every wall-clock number
 // goes to stderr and to the persisted BENCH_x8_sync.json artifact.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "net/runtime.hpp"
+#include "live_rsm_cell.hpp"
 #include "net/synchronizer.hpp"
-#include "rsm/rsm.hpp"
 
 namespace indulgence {
 namespace {
@@ -48,14 +45,6 @@ using namespace std::chrono_literals;
 
 constexpr int kSlots = 8;
 constexpr Round kWindow = 2;
-
-std::function<std::vector<Value>(ProcessId)> streams(int per_replica) {
-  return [per_replica](ProcessId id) {
-    std::vector<Value> cmds;
-    for (int i = 0; i < per_replica; ++i) cmds.push_back(100 * (id + 1) + i);
-    return cmds;
-  };
-}
 
 // ---------------------------------------------------------------------------
 // Part A: single-shot decision rounds, slow path vs fast path.
@@ -114,74 +103,12 @@ struct GridCell {
   LiveOptions options;
 };
 
-struct GridOutcome {
-  bool committed = false;
-  bool trace_valid = false;
-  Round rounds = 0;
-  double seconds = 0;
-  std::vector<double> latencies_us;  ///< per (live replica, slot) commit
-};
-
-GridOutcome run_grid_cell(const GridCell& cell) {
-  LiveRuntime runtime(cell.cfg, cell.options);
-  runtime.set_done_predicate([](const RoundAlgorithm& algorithm) {
-    const auto* rep = dynamic_cast<const RsmReplica*>(&algorithm);
-    return rep && rep->all_slots_committed();
-  });
-
-  std::vector<std::vector<double>> round_us(
-      static_cast<std::size_t>(cell.cfg.n));
-  runtime.set_observer([&round_us](ProcessId pid, Round k,
-                                   const RoundAlgorithm&,
-                                   std::chrono::microseconds since_start) {
-    auto& mine = round_us[static_cast<std::size_t>(pid)];
-    if (static_cast<Round>(mine.size()) < k) {
-      mine.resize(static_cast<std::size_t>(k), 0);
-    }
-    mine[static_cast<std::size_t>(k) - 1] =
-        static_cast<double>(since_start.count());
-  });
-
-  RsmOptions opt;
-  opt.num_slots = kSlots;
-  opt.slot_window = kWindow;
+bench::LiveRsmOutcome run_grid_cell(const GridCell& cell) {
   At2Options ff;
   ff.failure_free_opt = true;
-  const AlgorithmFactory factory =
-      rsm_factory(at2_factory(hurfin_raynal_factory(), ff), streams(kSlots),
-                  opt);
-
-  bench::Stopwatch watch;
-  const RunResult result =
-      runtime.run(factory, distinct_proposals(cell.cfg.n));
-
-  GridOutcome out;
-  out.seconds = watch.seconds();
-  out.trace_valid = result.validation.ok();
-  out.rounds = result.trace.rounds_executed();
-  out.committed = true;
-  for (ProcessId pid = 0; pid < cell.cfg.n; ++pid) {
-    if (result.trace.crashed().contains(pid)) continue;
-    const auto* rep = dynamic_cast<const RsmReplica*>(
-        runtime.algorithms()[static_cast<std::size_t>(pid)].get());
-    if (!rep || !rep->all_slots_committed()) {
-      out.committed = false;
-      continue;
-    }
-    const auto& mine = round_us[static_cast<std::size_t>(pid)];
-    for (int s = 0; s < kSlots; ++s) {
-      const Round commit = rep->commit_round(s);
-      const Round open = static_cast<Round>(s) * kWindow + 1;
-      if (commit < 1 || static_cast<std::size_t>(commit) > mine.size()) {
-        continue;
-      }
-      const double opened =
-          open >= 2 ? mine[static_cast<std::size_t>(open) - 2] : 0.0;
-      out.latencies_us.push_back(
-          mine[static_cast<std::size_t>(commit) - 1] - opened);
-    }
-  }
-  return out;
+  return bench::run_live_rsm(cell.cfg, kSlots, kWindow,
+                             at2_factory(hurfin_raynal_factory(), ff),
+                             cell.options);
 }
 
 }  // namespace
@@ -256,7 +183,7 @@ int main() {
       {"n", "t", "scenario", "sync", "all committed", "trace valid"});
   json.key("grid").begin_array();
   for (const GridCell& cell : cells) {
-    const GridOutcome out = run_grid_cell(cell);
+    const bench::LiveRsmOutcome out = run_grid_cell(cell);
     ++runs;
     const bool gates = out.committed && out.trace_valid;
     all_ok = all_ok && gates;
@@ -332,7 +259,7 @@ int main() {
       for (Round k = 1; k <= 3; ++k) {
         cell.options.sync_corruptions.push_back(SyncCorruption{1, k, 7});
       }
-      const GridOutcome out = run_grid_cell(cell);
+      const bench::LiveRsmOutcome out = run_grid_cell(cell);
       ++runs;
       const bool gates = out.committed && out.trace_valid;
       corruption_recovered = corruption_recovered && gates;

@@ -25,10 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/at2_auth.hpp"
-#include "net/runtime.hpp"
-#include "rsm/rsm.hpp"
+#include "live_rsm_cell.hpp"
 
 namespace indulgence {
 namespace {
@@ -37,14 +35,6 @@ using namespace std::chrono_literals;
 
 constexpr int kSlots = 6;
 constexpr Round kWindow = 2;
-
-std::function<std::vector<Value>(ProcessId)> streams(int per_replica) {
-  return [per_replica](ProcessId id) {
-    std::vector<Value> cmds;
-    for (int i = 0; i < per_replica; ++i) cmds.push_back(100 * (id + 1) + i);
-    return cmds;
-  };
-}
 
 /// The b highest process ids lie; honest low ids keep the quorum honest.
 ProcessSet liars_for(int n, int b) {
@@ -214,78 +204,18 @@ ShotOutcome run_shot(const ShotCell& cell) {
 // Part B: the RSM grid under a mixed adversary.
 // ---------------------------------------------------------------------------
 
-struct RsmOutcome {
-  bool committed = false;
-  bool trace_valid = false;
-  Round rounds = 0;
-  double seconds = 0;
-  std::vector<double> latencies_us;
-};
-
-RsmOutcome run_rsm_cell(const SystemConfig& cfg, int b,
-                        const std::string& scenario) {
+/// Liar replicas run the honest code (output mutation), so they are held
+/// to the same commit bar as everyone else.
+bench::LiveRsmOutcome run_rsm_cell(const SystemConfig& cfg, int b,
+                                   const std::string& scenario) {
   const ProcessSet liars = liars_for(cfg.n, b);
   LiveOptions options;
   options.quorum_grace = 20ms;
   options.seed = 9;
   options.byzantine = plan_for(scenario, liars);
   options.byzantine_budget = b;
-
-  LiveRuntime runtime(cfg, options);
-  runtime.set_done_predicate([](const RoundAlgorithm& algorithm) {
-    const auto* rep = dynamic_cast<const RsmReplica*>(&algorithm);
-    return rep && rep->all_slots_committed();
-  });
-  std::vector<std::vector<double>> round_us(static_cast<std::size_t>(cfg.n));
-  runtime.set_observer([&round_us](ProcessId pid, Round k,
-                                   const RoundAlgorithm&,
-                                   std::chrono::microseconds since_start) {
-    auto& mine = round_us[static_cast<std::size_t>(pid)];
-    if (static_cast<Round>(mine.size()) < k) {
-      mine.resize(static_cast<std::size_t>(k), 0);
-    }
-    mine[static_cast<std::size_t>(k) - 1] =
-        static_cast<double>(since_start.count());
-  });
-
-  RsmOptions opt;
-  opt.num_slots = kSlots;
-  opt.slot_window = kWindow;
-  const AlgorithmFactory factory =
-      rsm_factory(at2_auth_factory(), streams(kSlots), opt);
-
-  bench::Stopwatch watch;
-  const RunResult result = runtime.run(factory, distinct_proposals(cfg.n));
-
-  RsmOutcome out;
-  out.seconds = watch.seconds();
-  out.trace_valid = result.validation.ok();
-  out.rounds = result.trace.rounds_executed();
-  out.committed = true;
-  for (ProcessId pid = 0; pid < cfg.n; ++pid) {
-    if (result.trace.crashed().contains(pid)) continue;
-    // Liar replicas run the honest code (output mutation), so they are
-    // held to the same commit bar as everyone else.
-    const auto* rep = dynamic_cast<const RsmReplica*>(
-        runtime.algorithms()[static_cast<std::size_t>(pid)].get());
-    if (!rep || !rep->all_slots_committed()) {
-      out.committed = false;
-      continue;
-    }
-    const auto& mine = round_us[static_cast<std::size_t>(pid)];
-    for (int s = 0; s < kSlots; ++s) {
-      const Round commit = rep->commit_round(s);
-      const Round open = static_cast<Round>(s) * kWindow + 1;
-      if (commit < 1 || static_cast<std::size_t>(commit) > mine.size()) {
-        continue;
-      }
-      const double opened =
-          open >= 2 ? mine[static_cast<std::size_t>(open) - 2] : 0.0;
-      out.latencies_us.push_back(
-          mine[static_cast<std::size_t>(commit) - 1] - opened);
-    }
-  }
-  return out;
+  return bench::run_live_rsm(cfg, kSlots, kWindow, at2_auth_factory(),
+                             options);
 }
 
 }  // namespace
@@ -383,7 +313,8 @@ int main() {
         {SystemConfig{.n = 7, .t = 2}, 2, "mixed"},
     };
     for (const Cell& cell : cells) {
-      const RsmOutcome out = run_rsm_cell(cell.cfg, cell.b, cell.scenario);
+      const bench::LiveRsmOutcome out =
+          run_rsm_cell(cell.cfg, cell.b, cell.scenario);
       ++runs;
       const bool gates = out.committed && out.trace_valid;
       rsm_commits = rsm_commits && gates;

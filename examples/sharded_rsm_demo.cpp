@@ -377,9 +377,7 @@ int launch(DemoArgs args) {
   for (const auto& [node, c] : node_counters) {
     table.add("n" + std::to_string(node), node_groups[node], c.reconnects,
               c.envelopes_resent, c.peer_timeouts, c.demux_drops,
-              c.injected_resets + c.injected_stalls +
-                  c.injected_short_writes + c.injected_connect_failures +
-                  c.injected_accept_closes);
+              c.injected_faults());
   }
   table.print(std::cout, "per node process (links shared by all groups)");
 

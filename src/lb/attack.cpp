@@ -75,8 +75,9 @@ AttackResult search_violation(SystemConfig config,
   constexpr long kNoWinner = std::numeric_limits<long>::max();
 
   // Shared across the proposal vectors so the budget is global, exactly as
-  // in the sequential search.  `tried` includes the speculative work of
-  // chunks that end up cancelled; the REPORTED count sums per-chunk tallies
+  // in the sequential search.  `tried` counts claimed budget slots: the
+  // speculative work of chunks that end up cancelled and, past max_runs,
+  // claims that were refused.  The REPORTED count sums per-chunk tallies
   // only up to the winning chunk, which is the same at every job count.
   std::atomic<long> tried{0};
   long reported = 0;
@@ -108,11 +109,12 @@ AttackResult search_violation(SystemConfig config,
                   if (winner.load(std::memory_order_relaxed) < chunk_index) {
                     return false;  // a lower subtree already won
                   }
-                  if (tried.load(std::memory_order_relaxed) >=
+                  // The increment takes the budget slot, so two workers
+                  // can never both claim the last one.
+                  if (tried.fetch_add(1, std::memory_order_relaxed) >=
                       options.max_runs) {
                     return false;  // budget exhausted
                   }
-                  tried.fetch_add(1, std::memory_order_relaxed);
                   ++chunk_tried[static_cast<std::size_t>(chunk_index)];
                   const RunSchedule schedule =
                       schedule_from_actions(config, actions);

@@ -3,9 +3,32 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace indulgence {
+
+LiveMergeInput declared_merge_input(const SystemConfig& config,
+                                    const LiveOptions& options) {
+  LiveMergeInput merge;
+  merge.config = config;
+  for (const ByzantineInjection& b : options.byzantine) {
+    if (b.event.liar < 0 || b.event.liar >= config.n) {
+      throw std::invalid_argument("live run: Byzantine liar p" +
+                                  std::to_string(b.event.liar) +
+                                  " is out of range");
+    }
+    merge.byzantine.insert(b.event.liar);
+  }
+  merge.byzantine_budget = options.byzantine_budget > 0
+                               ? options.byzantine_budget
+                               : merge.byzantine.size();
+  if (merge.byzantine_budget > 0 && 3 * merge.byzantine_budget >= config.n) {
+    throw std::invalid_argument("live run: Byzantine budget needs 3b < n");
+  }
+  return merge;
+}
 
 RunTrace merge_process_logs(const LiveMergeInput& input) {
   const std::vector<ProcessLog>& logs = *input.logs;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "net/options.hpp"
 #include "net/round_driver.hpp"
 #include "net/transport.hpp"
 #include "sim/harness.hpp"
@@ -45,6 +46,15 @@ struct LiveMergeInput {
   ProcessSet byzantine;
   int byzantine_budget = 0;
 };
+
+/// The merge input a live run of one `config` group under `options` starts
+/// from: the config, and the liars options.byzantine declares with their
+/// budget b (options.byzantine_budget, or the number of distinct liars
+/// when that is 0).  Throws std::invalid_argument for a liar outside
+/// [0, n) or for 3b >= n.  LiveRuntime and run_sharded call it before they
+/// start any thread.
+LiveMergeInput declared_merge_input(const SystemConfig& config,
+                                    const LiveOptions& options);
 
 RunTrace merge_process_logs(const LiveMergeInput& input);
 

@@ -140,10 +140,6 @@ struct LiveOptions {
   /// How long the shutdown drain waits for the final rounds' messages
   /// before closing below a full set (scheduling-jitter safety valve).
   std::chrono::microseconds drain_wait{100'000};
-
-  /// Scripted replay only: abort a run whose expected messages never arrive
-  /// (a runtime bug or a dead peer thread), instead of hanging the test.
-  std::chrono::microseconds scripted_wait{30'000'000};
 };
 
 /// When a process' algorithm instance counts as finished.  The default —

@@ -120,6 +120,14 @@ bool RunControl::completed_normally() const {
 // ---------------------------------------------------------------------------
 // RoundDriver
 
+namespace {
+
+/// Scripted replay only: abort a run whose expected messages never arrive
+/// (a runtime bug or a dead peer thread), instead of hanging the test.
+constexpr std::chrono::seconds kScriptedWait{30};
+
+}  // namespace
+
 RoundDriver::RoundDriver(DriverContext ctx) : ctx_(std::move(ctx)) {}
 
 void RoundDriver::run() noexcept {
@@ -192,7 +200,7 @@ void RoundDriver::adopt_future(Round k) {
 void RoundDriver::collect_scripted(Round k) {
   const int want_in = ctx_.script->expected_in_round(ctx_.self, k);
   const int want_delayed = ctx_.script->expected_delayed(ctx_.self, k);
-  const Clock::time_point deadline = Clock::now() + ctx_.options->scripted_wait;
+  const Clock::time_point deadline = Clock::now() + kScriptedWait;
   while (in_round_count_ < want_in || delayed_count_ < want_delayed) {
     if (auto env = ctx_.mailbox->pop_for(std::chrono::microseconds{2000})) {
       route(std::move(*env), k);

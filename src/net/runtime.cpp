@@ -3,7 +3,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "net/driver_runner.hpp"
@@ -49,21 +48,7 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
         "replay lying schedules through the kernel, or drive live lies via "
         "LiveOptions::byzantine");
   }
-  ProcessSet declared_liars;
-  for (const ByzantineInjection& b : options_.byzantine) {
-    if (b.event.liar < 0 || b.event.liar >= n) {
-      throw std::invalid_argument("live runtime: Byzantine liar p" +
-                                  std::to_string(b.event.liar) +
-                                  " is out of range");
-    }
-    declared_liars.insert(b.event.liar);
-  }
-  const int budget = options_.byzantine_budget > 0 ? options_.byzantine_budget
-                                                   : declared_liars.size();
-  if (budget > 0 && 3 * budget >= n) {
-    throw std::invalid_argument(
-        "live runtime: Byzantine budget needs 3b < n");
-  }
+  LiveMergeInput merge = declared_merge_input(config_, options_);
 
   // The mailboxes outlive the transports, which may push into them until
   // they stop.
@@ -87,11 +72,8 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
     script_transport =
         std::make_unique<ScriptTransport>(config_, *schedule, mailboxes);
   } else if (socket_kind_) {
-    SocketTransportOptions socket_options = socket_options_;
-    if (socket_options.byzantine.empty()) {
-      socket_options.byzantine = options_.byzantine;
-    }
-    fabric = std::make_unique<SocketFabric>(n, *socket_kind_, socket_options);
+    fabric = std::make_unique<SocketFabric>(n, *socket_kind_, socket_options_,
+                                            options_.byzantine);
     const std::vector<int> members = group_placement(0, n, n);
     for (ProcessId pid = 0; pid < n; ++pid) {
       supervised.push_back(&fabric->host(
@@ -150,15 +132,11 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
              : script_transport ? script_transport->dropped_copies()
                                 : 0;
 
-  LiveMergeInput merge;
-  merge.config = config_;
   merge.model = model;
   merge.gst_hint = schedule ? schedule->gst() : 0;
   merge.terminated = control.completed_normally();
   merge.logs = &group.logs;
   merge.undelivered = std::move(group.undelivered);
-  merge.byzantine = declared_liars;
-  merge.byzantine_budget = budget;
   return merge_and_judge(merge);
 }
 

@@ -46,7 +46,8 @@ class LiveRuntime {
   /// one group over n nodes, one endpoint per process, UDS or TCP loopback
   /// — instead of the fault-injecting router.  The router's latency/loss/
   /// partition knobs do not apply; wire chaos in `socket_options.chaos`
-  /// takes their place.  Scripted replays are unaffected.
+  /// takes their place.  LiveOptions::byzantine applies on both.  Scripted
+  /// replays are unaffected.
   void use_socket_transport(SocketAddress::Kind kind,
                             SocketTransportOptions socket_options = {});
 

@@ -64,6 +64,9 @@ ShardedResult run_sharded(const ShardedOptions& options,
   if (groups < 1) {
     throw std::invalid_argument("sharded: need at least one group");
   }
+  // Every group runs the same plan, so every group's merged trace gets the
+  // same liar stamp.
+  const LiveMergeInput declared = declared_merge_input(config, options.live);
 
   // The mailboxes outlive the fabric, whose readers push into them until
   // it stops.  The drivers outlive it too: freeing the endpoints' frame
@@ -72,7 +75,8 @@ ShardedResult run_sharded(const ShardedOptions& options,
   std::vector<std::vector<std::unique_ptr<Mailbox>>> mailboxes(
       static_cast<std::size_t>(groups));
   DriverRunner runner;
-  SocketFabric fabric(nodes, options.kind, options.socket);
+  SocketFabric fabric(nodes, options.kind, options.socket,
+                      options.live.byzantine);
 
   // Register every group's replicas with their hosting endpoints; each gets
   // the GroupPort view its (unchanged) driver will use.
@@ -141,8 +145,7 @@ ShardedResult run_sharded(const ShardedOptions& options,
     auto entry = logs.extract(logs.begin());
     const GroupId g = entry.key();
     GroupLogs& group = entry.mapped();
-    LiveMergeInput merge;
-    merge.config = config;
+    LiveMergeInput merge = declared;
     merge.model = Model::ES;
     merge.gst_hint = 0;  // derive the minimal conforming GST per group
     merge.terminated =
@@ -150,16 +153,10 @@ ShardedResult run_sharded(const ShardedOptions& options,
         controls[static_cast<std::size_t>(g)]->completed_normally();
     merge.logs = &group.logs;
     merge.undelivered = std::move(group.undelivered);
-    // The socket fabric applies the same plan inside every group, so every
-    // group's merged trace gets the same liar stamp.
-    for (const ByzantineInjection& b : options.socket.byzantine) {
-      merge.byzantine.insert(b.event.liar);
-    }
 
     GroupOutcome outcome;
     outcome.result = merge_and_judge(merge);
     outcome.algorithms = std::move(group.algorithms);
-    outcome.traffic = fabric.group_counters(g);
     outcome.wall = std::chrono::duration_cast<std::chrono::microseconds>(
         std::max(epoch, group.last_exit) - epoch);
     result.groups.emplace(g, std::move(outcome));
@@ -175,10 +172,9 @@ ShardedNode::ShardedNode(int node, int num_nodes, SocketAddress listen,
                          AddressResolver resolver,
                          SocketTransportOptions socket, LiveOptions live)
     : live_(std::move(live)),
-      endpoint_(std::make_unique<SocketEndpoint>(node, num_nodes,
-                                                 std::move(listen),
-                                                 std::move(resolver),
-                                                 std::move(socket))) {}
+      endpoint_(std::make_unique<SocketEndpoint>(
+          node, num_nodes, std::move(listen), std::move(resolver),
+          std::move(socket), live_.byzantine)) {}
 
 void ShardedNode::host(GroupId group, SystemConfig config, ProcessId self,
                        std::vector<int> members, AlgorithmFactory factory,

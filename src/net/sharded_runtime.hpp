@@ -58,7 +58,9 @@ struct ShardedOptions {
   int num_nodes = 3;          ///< M endpoints; must be >= config.n
   int num_groups = 8;         ///< G consensus groups
   SystemConfig config{3, 1};  ///< per-group (n, t)
-  LiveOptions live;           ///< per-driver pacing (gates, grace, seed)
+  /// Per-driver pacing (gates, grace, seed), and the Byzantine plan every
+  /// group runs, its liars stamped into every group's trace.
+  LiveOptions live;
   SocketAddress::Kind kind = SocketAddress::Kind::Unix;
   SocketTransportOptions socket;
   DonePredicate done;         ///< per replica; null = "has decided"
@@ -72,13 +74,11 @@ struct ShardedOptions {
 };
 
 /// What one group produced: the validated per-group RunResult, its replica
-/// instances (RSM log inspection), its traffic counters summed over the
-/// hosting endpoints, and its wall-clock span (epoch to the last of its
-/// drivers exiting) for per-group latency percentiles.
+/// instances (RSM log inspection), and its wall-clock span (epoch to the
+/// last of its drivers exiting) for per-group latency percentiles.
 struct GroupOutcome {
   RunResult result;
   AlgorithmInstances algorithms;
-  GroupCounters traffic;
   std::chrono::microseconds wall{0};
 };
 
@@ -100,7 +100,8 @@ using GroupProposals = std::function<std::vector<Value>(GroupId)>;
 
 /// Runs G groups x n replicas over M endpoints inside this process and
 /// merges + validates each group's trace independently.  Throws on driver
-/// failure or invalid options (config invalid, num_nodes < config.n).
+/// failure or invalid options (config invalid, num_nodes < config.n, a
+/// liar out of range, a Byzantine budget with 3b >= n).
 ShardedResult run_sharded(const ShardedOptions& options,
                           const GroupFactory& factory_for,
                           const GroupProposals& proposals_for);
@@ -108,7 +109,8 @@ ShardedResult run_sharded(const ShardedOptions& options,
 /// One node of a multi-process sharded fabric: binds its endpoint up
 /// front (listen_address() is then final), hosts replicas via host(), and
 /// run() drives them all for an agreed fixed round count, returning one
-/// ShippedLog per hosted group for ship_and_merge_groups().
+/// ShippedLog per hosted group for ship_and_merge_groups().  The endpoint
+/// applies `live.byzantine` to the liars it hosts.
 class ShardedNode {
  public:
   ShardedNode(int node, int num_nodes, SocketAddress listen,

@@ -67,6 +67,17 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len,
 /// link mutex while it is gathered.
 constexpr std::size_t kFlushBatchFrames = 256;
 
+constexpr std::chrono::microseconds kConnectTimeout{200'000};
+/// Charged per stall on the clean paths, and once per whole frame when a
+/// chaos short write dribbles it.
+constexpr std::chrono::microseconds kSendTimeout{200'000};
+/// How long a drain keeps the supervisors flushing for final acks, so
+/// copies that were delivered do not linger as pending records.
+constexpr std::chrono::microseconds kLinger{250'000};
+/// Unacknowledged copies held per link; a full queue back-pressures the
+/// sender (blocks) rather than dropping — ES channels are reliable.
+constexpr std::size_t kHoldQueueCapacity = 1 << 15;
+
 /// Gathered-write counterpart of write_all: ships `count` iovecs with as
 /// few syscalls as the kernel allows, polling POLLOUT up to `timeout` per
 /// stall.  Uses sendmsg (writev semantics) so MSG_NOSIGNAL still applies.
@@ -230,28 +241,6 @@ bool write_all_until(int fd, const std::uint8_t* data, std::size_t len,
   return true;
 }
 
-LinkCounters& LinkCounters::operator+=(const LinkCounters& o) {
-  connect_attempts += o.connect_attempts;
-  connect_failures += o.connect_failures;
-  reconnects += o.reconnects;
-  envelopes_resent += o.envelopes_resent;
-  heartbeats_sent += o.heartbeats_sent;
-  peer_timeouts += o.peer_timeouts;
-  injected_resets += o.injected_resets;
-  injected_stalls += o.injected_stalls;
-  injected_short_writes += o.injected_short_writes;
-  injected_connect_failures += o.injected_connect_failures;
-  flush_syscalls += o.flush_syscalls;
-  return *this;
-}
-
-GroupCounters& GroupCounters::operator+=(const GroupCounters& o) {
-  envelopes_sent += o.envelopes_sent;
-  envelopes_delivered += o.envelopes_delivered;
-  duplicates_dropped += o.duplicates_dropped;
-  return *this;
-}
-
 SocketCounters& SocketCounters::operator+=(const SocketCounters& o) {
   connect_attempts += o.connect_attempts;
   connect_failures += o.connect_failures;
@@ -301,7 +290,7 @@ struct SocketEndpoint::Link {
   Link(int peer, const SocketTransportOptions& options,
        std::uint64_t chaos_stream)
       : peer(peer),
-        schedule(options.backoff, options.seed ^ (0x5eedUL + chaos_stream)),
+        schedule(BackoffPolicy{}, options.seed ^ (0x5eedUL + chaos_stream)),
         chaos_rng(Rng::for_stream(options.chaos.seed, chaos_stream)) {}
 
   int peer;  ///< peer node id
@@ -312,7 +301,7 @@ struct SocketEndpoint::Link {
   std::deque<HoldItem> hold;
   std::uint64_t next_seq = 1;
 
-  LinkCounters counters;  ///< guarded by the endpoint's counters_mutex_
+  SocketCounters counters;  ///< guarded by the endpoint's counters_mutex_
 
   // Supervisor-thread-only state.
   int fd = -1;
@@ -324,7 +313,7 @@ struct SocketEndpoint::Link {
   FrameParser ack_parser;
   Clock::time_point last_rx{};
   Clock::time_point last_tx{};
-  /// Reused gather scratch for the coalesced flush (supervisor-only).
+  /// Reused gather scratch for the flush (supervisor-only).
   std::vector<iovec> iov_scratch;
   std::vector<HoldItem*> batch_scratch;
 };
@@ -341,7 +330,7 @@ struct SocketEndpoint::GroupState {
   GroupSpec spec;
   std::atomic<bool> dead{false};
   bool expedited = false;  ///< guarded by expedite_mutex_
-  GroupCounters counters;  ///< guarded by counters_mutex_
+  SocketCounters counters;  ///< guarded by counters_mutex_
 };
 
 SocketEndpoint::SocketEndpoint(int node, std::vector<SocketAddress> nodes,
@@ -359,12 +348,14 @@ SocketEndpoint::SocketEndpoint(int node, std::vector<SocketAddress> nodes,
   init_listener_and_links();
 }
 
-SocketEndpoint::SocketEndpoint(int node, int num_nodes, SocketAddress listen,
-                               AddressResolver resolver,
-                               SocketTransportOptions options)
+SocketEndpoint::SocketEndpoint(
+    int node, int num_nodes, SocketAddress listen, AddressResolver resolver,
+    SocketTransportOptions options,
+    const std::vector<ByzantineInjection>& byzantine)
     : node_(node),
       num_nodes_(num_nodes),
       options_(std::move(options)),
+      byz_(byzantine),
       resolver_(std::move(resolver)),
       listen_address_(std::move(listen)),
       delivered_seq_(static_cast<std::size_t>(num_nodes), 0) {
@@ -375,7 +366,6 @@ void SocketEndpoint::init_listener_and_links() {
   if (node_ < 0 || node_ >= num_nodes_ || num_nodes_ < 2) {
     throw std::invalid_argument("socket endpoint: bad node id / node count");
   }
-  byz_ = ByzantinePlanner(options_.byzantine);
   listen_fd_ = open_listener(listen_address_);
   link_index_.assign(static_cast<std::size_t>(num_nodes_), -1);
   links_.reserve(static_cast<std::size_t>(num_nodes_) - 1);
@@ -492,10 +482,10 @@ void SocketEndpoint::dispatch_group(GroupId group, ProcessId sender,
         link_for_node(state->spec.members[static_cast<std::size_t>(receiver)]);
     std::unique_lock<std::mutex> lock(link->mutex);
     link->cv.wait(lock, [&] {
-      return link->hold.size() < options_.hold_queue_capacity ||
+      return link->hold.size() < kHoldQueueCapacity ||
              stopping_.load(std::memory_order_acquire);
     });
-    if (link->hold.size() >= options_.hold_queue_capacity) {
+    if (link->hold.size() >= kHoldQueueCapacity) {
       // Stop raced a full queue; the copy never even entered the fabric.
       lock.unlock();
       pool_.release(std::move(frame));
@@ -615,7 +605,7 @@ bool SocketEndpoint::connect_link(Link* link, Clock::time_point now) {
       ::close(fd);
       return fail(false);
     }
-    const int ev = poll_one(fd, POLLOUT, options_.connect_timeout);
+    const int ev = poll_one(fd, POLLOUT, kConnectTimeout);
     int err = 0;
     socklen_t err_len = sizeof(err);
     if (ev <= 0 || (ev & (POLLERR | POLLHUP)) ||
@@ -627,7 +617,7 @@ bool SocketEndpoint::connect_link(Link* link, Clock::time_point now) {
   }
   const std::vector<std::uint8_t> hello =
       encode_hello2(node_, hosted_group_ids_);
-  if (!write_all(fd, hello.data(), hello.size(), options_.send_timeout)) {
+  if (!write_all(fd, hello.data(), hello.size(), kSendTimeout)) {
     ::close(fd);
     return fail(false);
   }
@@ -652,30 +642,13 @@ void SocketEndpoint::drop_connection(Link* link) {
   }
 }
 
-/// Sends everything queued beyond sent_up_to.  Returns false when the
+/// Sends what is queued beyond sent_up_to.  Returns false when the
 /// connection broke (caller redials).
 ///
-/// Two paths share the hold queue's invariants.  Chaos inactive (the
-/// steady state): the coalesced path gathers every pending frame into an
-/// iovec batch and ships it with one writev-style syscall.  Chaos active
-/// and scoped to this link: the per-frame path keeps the original
-/// frame-boundary injection points and, crucially, the original RNG draw
-/// order (reset -> stall -> short-write per frame), so seeded chaos runs
-/// replay identically to the pre-batching transport.  The split cannot
-/// flip mid-call: with `now` fixed, chaos_active() only changes through
-/// expedited_, which moves one way (off).
-bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
-  if (chaos_active(now) && chaos_scoped(link)) {
-    return flush_link_chaos(link, now);
-  }
-  return flush_link_batched(link, now);
-}
-
-/// The coalesced steady-state flush.  Gathers pointers under the lock,
-/// writes without it: deque elements are reference-stable under the
-/// dispatchers' push_back, and the supervisor (this thread) is the only
-/// popper, so the iovec views over hold-queue bytes stay valid for the
-/// whole write.
+/// Gathers pointers under the lock, writes without it: deque elements are
+/// reference-stable under the dispatchers' push_back, and the supervisor
+/// (this thread) is the only popper, so the iovec views over hold-queue
+/// bytes stay valid for the whole write.
 ///
 /// At most ONE batch per call: a deep backlog must not monopolize the
 /// supervisor, or the acks piling up on the reverse path never get pumped,
@@ -683,7 +656,15 @@ bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
 /// (resending everything).  The supervisor's work_pending check skips the
 /// idle wait while frames remain, so the next batch follows immediately —
 /// after acks and the keep-alive decision get their turn.
-bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
+///
+/// While wire chaos is active on the link the batch is a single frame, so
+/// every frame is its own injection point: reset -> stall -> short write,
+/// drawn in that order per frame, so a seeded chaos run replays the same
+/// faults.  A short write dribbles the frame byte by byte, the whole frame
+/// charged against one send-timeout deadline — dribbling slows a frame
+/// down, it must not multiply its budget by the byte count.
+bool SocketEndpoint::flush_link(Link* link, Clock::time_point now) {
+  const bool chaotic = chaos_active(now) && chaos_scoped(link);
   auto& iov = link->iov_scratch;
   auto& batch = link->batch_scratch;
   iov.clear();
@@ -695,8 +676,9 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
             ? 0
             : flush_resume_index(link->hold.front().seq, link->hold.size(),
                                  link->sent_up_to);
-    for (std::size_t i = start;
-         i < link->hold.size() && batch.size() < kFlushBatchFrames; ++i) {
+    const std::size_t cap = chaotic ? 1 : kFlushBatchFrames;
+    for (std::size_t i = start; i < link->hold.size() && batch.size() < cap;
+         ++i) {
       HoldItem& item = link->hold[i];
       iov.push_back(iovec{
           const_cast<std::uint8_t*>(item.frame.data()), item.frame.size()});
@@ -705,10 +687,42 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
   }
   if (batch.empty()) return true;
 
+  bool short_write = false;
+  if (chaotic) {
+    const WireChaosOptions& chaos = options_.chaos;
+    if (link->chaos_rng.next_double() < chaos.reset_prob) {
+      {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++link->counters.injected_resets;
+      }
+      drop_connection(link);
+      return false;
+    }
+    if (link->chaos_rng.next_double() < chaos.stall_prob) {
+      {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        ++link->counters.injected_stalls;
+      }
+      std::this_thread::sleep_for(chaos.stall);
+    }
+    short_write = link->chaos_rng.next_double() < chaos.short_write_prob;
+  }
+
   long syscalls = 0;
   std::size_t written = 0;
-  const bool ok = writev_all(link->fd, iov.data(), iov.size(),
-                             options_.send_timeout, syscalls, written);
+  bool ok = true;
+  if (short_write) {
+    const std::vector<std::uint8_t>& frame = batch.front()->frame;
+    const Clock::time_point deadline = Clock::now() + kSendTimeout;
+    for (std::size_t i = 0; ok && i < frame.size(); ++i) {
+      ok = write_all_until(link->fd, frame.data() + i, 1, deadline);
+      ++syscalls;
+      if (ok) ++written;
+    }
+  } else {
+    ok = writev_all(link->fd, iov.data(), iov.size(), kSendTimeout, syscalls,
+                    written);
+  }
 
   // Only COMPLETELY shipped frames count as transmitted: a frame cut by
   // a broken batch is redelivered (and recounted) after the reconnect.
@@ -725,121 +739,32 @@ bool SocketEndpoint::flush_link_batched(Link* link, Clock::time_point now) {
     // cannot skew the keep-alive decision within its own cycle.
     link->last_tx = now;
     link->sent_up_to = batch[complete - 1]->seq;
-    {
-      // ever_sent flips only on a COMPLETED write: a frame whose first
-      // attempt died with the connection was never transmitted, so its
-      // eventual write is the group's first send, not a link
-      // redelivery.  Resends — the frame really left on an earlier
-      // connection — are a link event.
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      link->counters.flush_syscalls += syscalls;
-      for (std::size_t i = 0; i < complete; ++i) {
-        if (batch[i]->ever_sent) {
-          ++link->counters.envelopes_resent;
-        } else {
-          ++find_group(batch[i]->group)->counters.envelopes_sent;
-        }
-      }
-    }
-    // The supervisor is the only reader/writer of ever_sent while the
-    // items are queued (stop_and_flush reads only after joining us).
-    for (std::size_t i = 0; i < complete; ++i) batch[i]->ever_sent = true;
-  } else {
+  }
+  {
+    // ever_sent flips only on a COMPLETED write: a frame whose first
+    // attempt died with the connection was never transmitted, so its
+    // eventual write is the group's first send, not a link redelivery.
+    // Resends — the frame really left on an earlier connection — are a
+    // link event.
     std::lock_guard<std::mutex> lock(counters_mutex_);
     link->counters.flush_syscalls += syscalls;
+    if (short_write) ++link->counters.injected_short_writes;
+    for (std::size_t i = 0; i < complete; ++i) {
+      if (batch[i]->ever_sent) {
+        ++link->counters.envelopes_resent;
+      } else {
+        ++find_group(batch[i]->group)->counters.envelopes_sent;
+      }
+    }
   }
+  // The supervisor is the only reader/writer of ever_sent while the items
+  // are queued (stop_and_flush reads only after joining us).
+  for (std::size_t i = 0; i < complete; ++i) batch[i]->ever_sent = true;
   if (!ok) {
     drop_connection(link);
     return false;
   }
   return true;
-}
-
-/// The per-frame chaos flush: every frame is its own injection opportunity
-/// (reset -> stall -> short-write, in that draw order — seeded runs replay
-/// byte-for-byte against the original transport).  Capped at one batch's
-/// worth of frames per call for the same reason the batched flush is:
-/// acks and the keep-alive decision must interleave with a deep backlog.
-bool SocketEndpoint::flush_link_chaos(Link* link, Clock::time_point now) {
-  for (std::size_t flushed = 0; flushed < kFlushBatchFrames; ++flushed) {
-    HoldItem* item = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(link->mutex);
-      const std::size_t index =
-          link->hold.empty()
-              ? 0
-              : flush_resume_index(link->hold.front().seq, link->hold.size(),
-                                   link->sent_up_to);
-      if (index >= link->hold.size()) return true;
-      // Safe outside the lock: see flush_link_batched on reference
-      // stability and single-popper discipline.
-      item = &link->hold[index];
-    }
-
-    bool short_write = false;
-    if (chaos_active(now) && chaos_scoped(link)) {
-      const WireChaosOptions& chaos = options_.chaos;
-      if (link->chaos_rng.next_double() < chaos.reset_prob) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++link->counters.injected_resets;
-        }
-        drop_connection(link);
-        return false;
-      }
-      if (link->chaos_rng.next_double() < chaos.stall_prob) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++link->counters.injected_stalls;
-        }
-        std::this_thread::sleep_for(chaos.stall);
-      }
-      short_write = link->chaos_rng.next_double() < chaos.short_write_prob;
-    }
-
-    const std::vector<std::uint8_t>& frame = item->frame;
-    long syscalls = 0;
-    bool ok = true;
-    if (short_write) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++link->counters.injected_short_writes;
-      }
-      // Dribble the frame byte by byte: the peer's FrameParser must
-      // reassemble it from n reads of 1 byte.  The WHOLE frame is charged
-      // against one send-timeout deadline — dribbling slows a frame down,
-      // it must not multiply its budget by the byte count.
-      const Clock::time_point deadline = Clock::now() + options_.send_timeout;
-      for (std::size_t i = 0; ok && i < frame.size(); ++i) {
-        ok = write_all_until(link->fd, frame.data() + i, 1, deadline);
-        ++syscalls;
-      }
-    } else {
-      ok = write_all(link->fd, frame.data(), frame.size(),
-                     options_.send_timeout);
-      ++syscalls;
-    }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      link->counters.flush_syscalls += syscalls;
-    }
-    if (!ok) {
-      drop_connection(link);
-      return false;
-    }
-    link->last_tx = now;  // the cycle timestamp, not Clock::now(): bug 3
-    link->sent_up_to = item->seq;
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      if (item->ever_sent) {
-        ++link->counters.envelopes_resent;
-      } else {
-        ++find_group(item->group)->counters.envelopes_sent;
-      }
-    }
-    item->ever_sent = true;
-  }
-  return true;  // batch cap reached; the supervisor comes right back
 }
 
 /// Drains acknowledgements from the connection.  Returns false when the
@@ -935,8 +860,7 @@ void SocketEndpoint::supervisor_loop(Link* link) {
       }
       case KeepaliveAction::Heartbeat: {
         static const std::vector<std::uint8_t> hb = encode_heartbeat();
-        if (!write_all(link->fd, hb.data(), hb.size(),
-                       options_.send_timeout)) {
+        if (!write_all(link->fd, hb.data(), hb.size(), kSendTimeout)) {
           drop_connection(link);
           continue;
         }
@@ -1098,7 +1022,7 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
       ack_writer.clear();
       encode_ack_into(ack_cumulative, ack_writer);
       if (!write_all(conn->fd, ack_writer.data(), ack_writer.size(),
-                     options_.send_timeout)) {
+                     kSendTimeout)) {
         broken = true;
       }
     }
@@ -1112,19 +1036,26 @@ void SocketEndpoint::close_all_inbound() {
   for (auto& conn : inbound_) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
+void SocketEndpoint::drain() {
+  if (stopping_.load(std::memory_order_acquire)) return;
+  // Linger: the supervisors flush until their hold queues are acked, while
+  // the readers keep acking peers that are still draining.  Never started,
+  // there are no supervisors; setting `stopping_` still releases any
+  // dispatcher blocked on a full hold queue.
+  halt_deadline_ = Clock::now() + kLinger;
+  stopping_.store(true, std::memory_order_release);
+  for (auto& link : links_) link->cv.notify_all();
+  for (auto& link : links_) {
+    if (link->thread.joinable()) link->thread.join();
+  }
+}
+
 std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
   if (flushed_) return {};
   flushed_ = true;
+  drain();
 
   if (running_.load(std::memory_order_acquire)) {
-    // Linger: keep supervisors and readers alive so in-flight copies get
-    // acknowledged instead of lingering as pending records.
-    halt_deadline_ = Clock::now() + options_.linger;
-    stopping_.store(true, std::memory_order_release);
-    for (auto& link : links_) link->cv.notify_all();
-    for (auto& link : links_) {
-      if (link->thread.joinable()) link->thread.join();
-    }
     running_.store(false, std::memory_order_release);
     ::shutdown(listen_fd_, SHUT_RDWR);
     close_all_inbound();
@@ -1141,8 +1072,6 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
       if (conn->thread.joinable()) conn->thread.join();
       ::close(conn->fd);
     }
-  } else {
-    stopping_.store(true, std::memory_order_release);
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -1168,45 +1097,29 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
 SocketCounters SocketEndpoint::counters() const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   SocketCounters total = misc_;
-  for (const auto& link : links_) {
-    total.connect_attempts += link->counters.connect_attempts;
-    total.connect_failures += link->counters.connect_failures;
-    total.reconnects += link->counters.reconnects;
-    total.envelopes_resent += link->counters.envelopes_resent;
-    total.heartbeats_sent += link->counters.heartbeats_sent;
-    total.peer_timeouts += link->counters.peer_timeouts;
-    total.injected_resets += link->counters.injected_resets;
-    total.injected_stalls += link->counters.injected_stalls;
-    total.injected_short_writes += link->counters.injected_short_writes;
-    total.injected_connect_failures +=
-        link->counters.injected_connect_failures;
-    total.flush_syscalls += link->counters.flush_syscalls;
-  }
-  for (const auto& [group, state] : groups_) {
-    total.envelopes_sent += state->counters.envelopes_sent;
-    total.envelopes_delivered += state->counters.envelopes_delivered;
-    total.duplicates_dropped += state->counters.duplicates_dropped;
-  }
+  for (const auto& link : links_) total += link->counters;
+  for (const auto& [group, state] : groups_) total += state->counters;
   return total;
 }
 
-LinkCounters SocketEndpoint::link_counters(int node) const {
+SocketCounters SocketEndpoint::link_counters(int node) const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   const Link* link = link_for_node(node);
-  return link != nullptr ? link->counters : LinkCounters{};
+  return link != nullptr ? link->counters : SocketCounters{};
 }
 
-GroupCounters SocketEndpoint::group_counters(GroupId group) const {
+SocketCounters SocketEndpoint::group_counters(GroupId group) const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   const GroupState* state = find_group(group);
-  return state != nullptr ? state->counters : GroupCounters{};
+  return state != nullptr ? state->counters : SocketCounters{};
 }
 
 // ---------------------------------------------------------------------------
 // SocketFabric
 
 SocketFabric::SocketFabric(int num_nodes, SocketAddress::Kind kind,
-                           const SocketTransportOptions& options) {
+                           const SocketTransportOptions& options,
+                           const std::vector<ByzantineInjection>& byzantine) {
   if (kind == SocketAddress::Kind::Unix) {
     std::string tmpl = (std::filesystem::temp_directory_path() /
                         "indulgence-shard-XXXXXX")
@@ -1232,7 +1145,8 @@ SocketFabric::SocketFabric(int num_nodes, SocketAddress::Kind kind,
     SocketTransportOptions per = options;
     per.seed = options.seed + static_cast<std::uint64_t>(node) * 1337;
     endpoints_.push_back(std::make_unique<SocketEndpoint>(
-        node, num_nodes, std::move(listen), resolve, std::move(per)));
+        node, num_nodes, std::move(listen), resolve, std::move(per),
+        byzantine));
   }
 }
 
@@ -1259,16 +1173,15 @@ void SocketFabric::start(std::chrono::steady_clock::time_point epoch) {
 std::vector<UndeliveredCopy> SocketFabric::stop() {
   if (stopped_) return {};
   stopped_ = true;
-  std::vector<std::vector<UndeliveredCopy>> parts(endpoints_.size());
-  std::vector<std::thread> stoppers;
-  stoppers.reserve(endpoints_.size());
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    stoppers.emplace_back(
-        [this, i, &parts] { parts[i] = endpoints_[i]->stop_and_flush(); });
+  std::vector<std::thread> drainers;
+  drainers.reserve(endpoints_.size());
+  for (auto& endpoint : endpoints_) {
+    drainers.emplace_back([&endpoint] { endpoint->drain(); });
   }
-  for (std::thread& t : stoppers) t.join();
+  for (std::thread& t : drainers) t.join();
   std::vector<UndeliveredCopy> undelivered;
-  for (auto& part : parts) {
+  for (auto& endpoint : endpoints_) {
+    const std::vector<UndeliveredCopy> part = endpoint->stop_and_flush();
     undelivered.insert(undelivered.end(), part.begin(), part.end());
   }
   return undelivered;
@@ -1277,14 +1190,6 @@ std::vector<UndeliveredCopy> SocketFabric::stop() {
 SocketCounters SocketFabric::counters() const {
   SocketCounters total;
   for (const auto& endpoint : endpoints_) total += endpoint->counters();
-  return total;
-}
-
-GroupCounters SocketFabric::group_counters(GroupId group) const {
-  GroupCounters total;
-  for (const auto& endpoint : endpoints_) {
-    total += endpoint->group_counters(group);
-  }
   return total;
 }
 

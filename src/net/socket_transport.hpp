@@ -100,6 +100,7 @@ struct SocketAddress {
 /// uniformly from [base, 3 * prev], clamped to [base, cap].  Decorrelation
 /// (AWS architecture-blog style) avoids the synchronized retry herds plain
 /// exponential backoff produces when n links lose the same peer at once.
+/// Every link redials under these defaults.
 struct BackoffPolicy {
   std::chrono::microseconds base{500};
   std::chrono::microseconds cap{50'000};
@@ -211,28 +212,18 @@ struct WireChaosOptions {
   }
 };
 
+/// The transport's settable values.  Its other budgets are constants:
+/// 200 ms connect and send timeouts, the 250 ms stop linger, BackoffPolicy's
+/// defaults, and a hold queue of 2^15 unacknowledged copies per link (a
+/// full queue blocks the sender rather than dropping: ES channels are
+/// reliable).
 struct SocketTransportOptions {
-  std::chrono::microseconds connect_timeout{200'000};
-  std::chrono::microseconds send_timeout{200'000};
   /// Idle links send a heartbeat this often; silence for `peer_silence`
   /// (acks included) marks the connection suspect and redials it.
   std::chrono::microseconds heartbeat_every{25'000};
   std::chrono::microseconds peer_silence{150'000};
-  /// How long stop_and_flush keeps links alive waiting for final acks, so
-  /// copies that were delivered do not linger as pending records.
-  std::chrono::microseconds linger{250'000};
-  BackoffPolicy backoff;
   WireChaosOptions chaos;
-  /// Unacknowledged copies held per link; a full queue back-pressures the
-  /// sender (blocks) rather than dropping — ES channels are reliable.
-  std::size_t hold_queue_capacity = 1 << 15;
   std::uint64_t seed = 1;
-  /// Round-indexed Byzantine actions (sim/byzantine.hpp) applied to the
-  /// liars' outgoing copies at dispatch time, before encoding — the socket
-  /// analogue of LiveOptions::byzantine (LiveRuntime copies its plan here
-  /// when this one is empty).  Mutated and forged copies are encoded
-  /// per-receiver; honest traffic keeps the encode-once fast path.
-  std::vector<ByzantineInjection> byzantine;
 };
 
 inline KeepaliveAction keepalive_action(
@@ -247,46 +238,20 @@ inline KeepaliveAction keepalive_action(
   return KeepaliveAction::None;
 }
 
-/// Connection-lifecycle observability, kept per peer link so a reconnect
-/// storm on one peer cannot be misattributed to a healthy group that never
-/// uses that link.
-struct LinkCounters {
-  long connect_attempts = 0;
-  long connect_failures = 0;   ///< includes injected ones
-  long reconnects = 0;         ///< successful connects after the first
-  long envelopes_resent = 0;   ///< link-caused redeliveries after reconnect
-  long heartbeats_sent = 0;
-  long peer_timeouts = 0;      ///< connections dropped for silence
-  long injected_resets = 0;
-  long injected_stalls = 0;
-  long injected_short_writes = 0;
-  long injected_connect_failures = 0;
-  /// Envelope-flush syscalls (writev-style batches plus their stall
-  /// retries).  Frames per syscall = (group sends + resends) / this.
-  long flush_syscalls = 0;
-
-  LinkCounters& operator+=(const LinkCounters& o);
-};
-
-/// Traffic observability, kept per consensus group: what the demux layer
-/// attributed to each group's replicas.
-struct GroupCounters {
-  long envelopes_sent = 0;
-  long envelopes_delivered = 0;
-  long duplicates_dropped = 0;
-
-  GroupCounters& operator+=(const GroupCounters& o);
-};
-
-/// The endpoint-wide aggregate (links + groups + accept-side events); the
+/// The transport's one counter record.  Each link, each hosted group and
+/// the endpoint itself (events with no owning link or group) keep one, and
+/// each fills only its own fields: connection work on the link, traffic on
+/// the group, accept-side injections and demux drops on the endpoint.  So
+/// a reconnect storm on one peer link is never charged to a group that
+/// does not route over it, and the endpoint-wide figure is their sum.  The
 /// X5/X6 benches and the multi-process demos report these, and the shipped
 /// log format persists them.
 struct SocketCounters {
   long connect_attempts = 0;
   long connect_failures = 0;   ///< includes injected ones
   long reconnects = 0;         ///< successful connects after the first
-  long envelopes_sent = 0;
-  long envelopes_resent = 0;   ///< redeliveries after reconnect
+  long envelopes_sent = 0;     ///< first transmissions, per group
+  long envelopes_resent = 0;   ///< link-caused redeliveries after reconnect
   long envelopes_delivered = 0;
   long duplicates_dropped = 0;
   long heartbeats_sent = 0;
@@ -299,12 +264,18 @@ struct SocketCounters {
   /// Well-formed envelopes no hosted group owned (unknown group, spoofed
   /// or misplaced sender).  Acked at the link layer, dropped by the demux.
   long demux_drops = 0;
-  /// Envelope-flush syscalls across all links; the coalesced flush ships
-  /// many frames per syscall, so (sent + resent) / flush_syscalls is the
-  /// batching factor the E10 transport microbench tracks.
+  /// Envelope-flush syscalls; the coalesced flush ships many frames per
+  /// syscall, so (sent + resent) / flush_syscalls is the batching factor
+  /// the E10 transport microbench tracks.
   long flush_syscalls = 0;
 
   SocketCounters& operator+=(const SocketCounters& o);
+
+  /// Every fault the wire-chaos layer injected, of all five kinds.
+  long injected_faults() const {
+    return injected_resets + injected_stalls + injected_short_writes +
+           injected_connect_failures + injected_accept_closes;
+  }
 };
 
 /// Resolves a peer's address at connect time.  Multi-process TCP runs use
@@ -343,8 +314,12 @@ class SocketEndpoint final {
 
   /// Resolver flavour (multi-process fabrics): only the own listen address
   /// is known up front; peers are resolved per connect attempt.
+  /// `byzantine` is the run's LiveOptions::byzantine plan, applied to the
+  /// liars' outgoing copies at dispatch, before encoding: mutated and
+  /// forged copies are encoded per receiver, honest traffic once.
   SocketEndpoint(int node, int num_nodes, SocketAddress listen,
-                 AddressResolver resolver, SocketTransportOptions options);
+                 AddressResolver resolver, SocketTransportOptions options,
+                 const std::vector<ByzantineInjection>& byzantine = {});
 
   ~SocketEndpoint();
 
@@ -366,9 +341,14 @@ class SocketEndpoint final {
   void start(Clock::time_point epoch);
   /// Shutdown-drain accelerator: chaos off, links redial and flush at once.
   void expedite();
-  /// Stops every thread after a linger for final acks, and returns the
-  /// copies no peer acknowledged (each tagged with its group).  The caller
-  /// must have joined every hosted group's drivers first.  Idempotent.
+  /// The first half of a stop: the supervisors flush until every held copy
+  /// is acknowledged or the 250 ms linger passes, then exit.  The acceptor
+  /// and the readers stay up, so peers still draining get their acks.  The
+  /// caller must have joined every hosted group's drivers first.
+  void drain();
+  /// Stops the endpoint: drain(), then shut and join the acceptor and the
+  /// readers.  Returns the copies no peer acknowledged (each tagged with
+  /// its group).  Idempotent.
   std::vector<UndeliveredCopy> stop_and_flush();
 
   // --- demux layer (per-group entry points) ---------------------------------
@@ -392,8 +372,8 @@ class SocketEndpoint final {
   // --- observability --------------------------------------------------------
 
   SocketCounters counters() const;  ///< endpoint-wide aggregate
-  LinkCounters link_counters(int node) const;
-  GroupCounters group_counters(GroupId group) const;
+  SocketCounters link_counters(int node) const;  ///< the link's own fields
+  SocketCounters group_counters(GroupId group) const;  ///< the group's own
   /// The frame-buffer pool recycling encoded envelopes across flushes
   /// (observability: the E10 microbench and the pool tests read its
   /// reuse/miss stats).
@@ -412,8 +392,6 @@ class SocketEndpoint final {
   void supervisor_loop(Link* link);
   bool connect_link(Link* link, Clock::time_point now);
   bool flush_link(Link* link, Clock::time_point now);
-  bool flush_link_batched(Link* link, Clock::time_point now);
-  bool flush_link_chaos(Link* link, Clock::time_point now);
   bool pump_acks(Link* link);
   void drop_connection(Link* link);
   bool chaos_active(Clock::time_point now) const;
@@ -437,8 +415,8 @@ class SocketEndpoint final {
   std::vector<GroupId> hosted_group_ids_;  ///< ascending, = HELLO2 payload
 
   Clock::time_point epoch_{};
-  /// Written (before the `stopping_` release-store) by stop_and_flush;
-  /// supervisors read it only after an acquire-load of `stopping_`.
+  /// Written (before the `stopping_` release-store) by drain; supervisors
+  /// read it only after an acquire-load of `stopping_`.
   Clock::time_point halt_deadline_{};
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -461,9 +439,8 @@ class SocketEndpoint final {
   std::vector<std::uint64_t> delivered_seq_;
 
   mutable std::mutex counters_mutex_;
-  /// Accept-side injections + demux drops — events with no owning link or
-  /// group.  Link/group fields of this struct stay zero; counters() adds
-  /// the per-link and per-group tallies on top.
+  /// Events with no owning link or group: accept-side injections, demux
+  /// drops, and duplicates of unroutable copies.
   SocketCounters misc_;
 
   /// Copies that could not even be queued because stop arrived while the
@@ -509,8 +486,11 @@ class GroupPort final : public SupervisedTransport {
 /// options.seed + 1337 i.
 class SocketFabric {
  public:
+  /// `byzantine` is the run's LiveOptions::byzantine plan; every endpoint
+  /// applies it to the liars it hosts.
   SocketFabric(int num_nodes, SocketAddress::Kind kind,
-               const SocketTransportOptions& options);
+               const SocketTransportOptions& options,
+               const std::vector<ByzantineInjection>& byzantine = {});
   SocketFabric(const SocketFabric&) = delete;  // endpoints resolve via this
   SocketFabric& operator=(const SocketFabric&) = delete;
   /// Stops every endpoint before destroying any: a running supervisor
@@ -524,15 +504,15 @@ class SocketFabric {
 
   void start(std::chrono::steady_clock::time_point epoch);
 
-  /// Stops every endpoint concurrently, so their linger windows overlap:
-  /// every node keeps acking while the others drain, instead of node 0
-  /// going deaf while node 1 still flushes to it.  Returns the copies no
-  /// peer acknowledged, each tagged with its group.  Later calls return
-  /// nothing.
+  /// Drains every endpoint concurrently, then closes them: no reader or
+  /// acceptor shuts until every node's copies are acked (or its linger
+  /// passed), so a node whose queues emptied first never leaves a peer
+  /// waiting out the linger for acks it can no longer send.  Returns the
+  /// copies no peer acknowledged, each tagged with its group.  Later calls
+  /// return nothing.
   std::vector<UndeliveredCopy> stop();
 
   SocketCounters counters() const;  ///< summed over every endpoint
-  GroupCounters group_counters(GroupId group) const;
 
  private:
   /// The UDS socket directory (empty path for TCP), removed on destruction.

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
@@ -18,6 +19,7 @@
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/at2_auth.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 
@@ -127,8 +129,13 @@ TEST(Sharded, EightGroupsOverFourNodesAllValidateIndependently) {
       EXPECT_GE(d.value, 1000 * (g + 1));
       EXPECT_LT(d.value, 1000 * (g + 1) + options.config.n);
     }
-    EXPECT_GT(outcome.traffic.envelopes_sent, 0) << "group " << g;
-    EXPECT_GT(outcome.traffic.envelopes_delivered, 0) << "group " << g;
+    // The group's own copies crossed the shared fabric.
+    const auto& deliveries = outcome.result.trace.deliveries();
+    EXPECT_TRUE(std::any_of(deliveries.begin(), deliveries.end(),
+                            [](const DeliveryRecord& d) {
+                              return d.sender != d.receiver;
+                            }))
+        << "group " << g;
   }
   EXPECT_EQ(result.counters.demux_drops, 0);
 }
@@ -267,6 +274,65 @@ TEST(Sharded, PipelinedBurstCommitsEveryGroupLog) {
       EXPECT_EQ(first->log(), rep->log()) << "group " << g << " p" << pid;
     }
   }
+}
+
+/// A plan for p3 that forges p1's copies in rounds 1 and 2.
+std::vector<ByzantineInjection> p3_forges_p1() {
+  std::vector<ByzantineInjection> plan;
+  for (Round k = 1; k <= 2; ++k) {
+    ByzantineEvent forge;
+    forge.kind = LieKind::Forge;
+    forge.liar = 3;
+    forge.forged = 1;
+    forge.value = -5;
+    forge.has_value = true;
+    plan.push_back(ByzantineInjection{k, forge});
+  }
+  return plan;
+}
+
+TEST(Sharded, ByzantinePlanInLiveOptionsReachesEveryGroup) {
+  ShardedOptions options = base_options(2, 4);
+  options.config = SystemConfig{4, 1};
+  options.live.byzantine = p3_forges_p1();
+  const ShardedResult result =
+      run_sharded(options, [](GroupId) { return at2_auth_factory(); },
+                  distinct_per_group(options.config.n));
+  ASSERT_EQ(static_cast<int>(result.groups.size()), options.num_groups);
+  for (const auto& [g, outcome] : result.groups) {
+    const RunTrace& trace = outcome.result.trace;
+    EXPECT_TRUE(outcome.result.validation.ok())
+        << "group " << g << "\n" << outcome.result.validation.to_string();
+    EXPECT_TRUE(trace.byzantine().contains(3)) << "group " << g;
+    EXPECT_EQ(trace.byzantine().size(), 1) << "group " << g;
+    EXPECT_EQ(trace.byzantine_budget(), 1) << "group " << g;
+    const auto& deliveries = trace.deliveries();
+    EXPECT_TRUE(std::any_of(
+        deliveries.begin(), deliveries.end(),
+        [](const DeliveryRecord& d) { return d.origin == 3; }))
+        << "group " << g << ": no forged copy was delivered";
+    std::optional<Value> decided;
+    for (const DecisionRecord& d : trace.decisions()) {
+      if (d.pid == 3) continue;
+      if (!decided) decided = d.value;
+      EXPECT_EQ(d.value, *decided) << "group " << g << " p" << d.pid;
+    }
+  }
+}
+
+TEST(Sharded, RejectsLiarsOutOfRangeOrOverTheBudget) {
+  ShardedOptions options = base_options(2, 4);
+  options.config = SystemConfig{4, 1};
+  options.live.byzantine = p3_forges_p1();
+  options.live.byzantine[0].event.liar = 4;  // n = 4: no such process
+  EXPECT_THROW(run_sharded(options, [](GroupId) { return at2_auth_factory(); },
+                           distinct_per_group(options.config.n)),
+               std::invalid_argument);
+  options.live.byzantine = p3_forges_p1();
+  options.live.byzantine[0].event.liar = 2;  // b = 2 liars: 3b >= n
+  EXPECT_THROW(run_sharded(options, [](GroupId) { return at2_auth_factory(); },
+                           distinct_per_group(options.config.n)),
+               std::invalid_argument);
 }
 
 TEST(Sharded, RejectsPlacementThatCannotUseDistinctNodes) {
