@@ -3,12 +3,8 @@
 namespace indulgence {
 
 std::optional<Value> decide_notice_value(const Message& message) {
-  if (const auto* d = dynamic_cast<const DecideMessage*>(&message)) {
-    return d->value();
-  }
-  if (const auto* h = dynamic_cast<const HaltedMessage*>(&message)) {
-    return h->decision();
-  }
+  if (const auto* d = message_as<DecideMessage>(&message)) return d->value();
+  if (const auto* h = message_as<HaltedMessage>(&message)) return h->decision();
   return std::nullopt;
 }
 

@@ -2,7 +2,7 @@
 //
 // The lockstep kernel applies ByzantineEvents inline in its send phase; the
 // live runtime has two independent fan-out sites (the in-process router's
-// queue and the socket endpoint's per-link encoder).  Both delegate the
+// dispatch and the socket endpoint's per-link encoder).  Both delegate the
 // copy synthesis to this planner so the semantics stay identical to the
 // kernel's, receiver by receiver:
 //
@@ -18,8 +18,8 @@
 // itself its own copy inline), so — exactly as in the kernel — a liar's
 // own state is never poisoned by its lies.
 //
-// Thread-safety: none.  Each transport owns one planner and calls it from
-// a single thread (the router's loop; the endpoint's dispatching driver).
+// Thread-safety: none.  Each transport calls its own planner from one thread
+// at a time (the router under its mutex; the endpoint's dispatching driver).
 
 #pragma once
 

@@ -1,22 +1,24 @@
-// A bounded multi-producer single-consumer channel — the wire of the live
-// runtime.
+// A bounded multi-producer single-consumer channel: each process' mailbox,
+// the wire of the live runtime.  push appends in FIFO order (socket readers,
+// scripted replay); push_at holds an item until its due instant, so the
+// mailbox is the in-process router's delay line and the receiver's own timed
+// pop releases each copy.  The channel is bounded so a stalled consumer
+// exerts backpressure instead of letting queues grow without limit, and
+// teardown drains what is left into the trace's pending records instead of
+// losing it.
 //
-// Every edge of the live runtime is one of these: drivers push outbound
-// broadcasts into the router's inbound channel, and the router pushes
-// fated envelopes into each process' mailbox.  The channel is bounded so a
-// stalled consumer exerts backpressure instead of letting queues grow
-// without limit, and closable so teardown can drain in-flight items into
-// the trace's pending records instead of losing them.
-//
-// The implementation is a mutex + condvar ring; at the live runtime's scale
-// (n <= 13 processes, thousands of envelopes per second) contention is
-// negligible and the simple form is trivially ThreadSanitizer-clean.
+// The implementation is a mutex + condvar over a deque and a small heap; at
+// the live runtime's scale (n <= 13 processes, a few copies per process and
+// round) contention is negligible and the simple form is trivially
+// ThreadSanitizer-clean.
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -28,6 +30,8 @@ namespace indulgence {
 template <typename T>
 class Channel {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit Channel(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
 
   Channel(const Channel&) = delete;
@@ -37,34 +41,68 @@ class Channel {
   /// once the channel is closed.
   bool push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
+    if (!wait_for_room(lock)) return false;
     items_.push_back(std::move(item));
     lock.unlock();
     not_empty_.notify_one();
     return true;
   }
 
-  /// Non-blocking pop; nullopt when empty.
+  /// Like push, but the item becomes poppable only at `due` (or at once
+  /// after expedite()).  Items due at the same instant pop in push order.
+  bool push_at(T item, Clock::time_point due) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!wait_for_room(lock)) return false;
+    const std::uint64_t seq = seq_++;
+    delayed_.push_back(Delayed{due, seq, std::move(item)});
+    std::push_heap(delayed_.begin(), delayed_.end(), later);
+    // A waiting consumer sleeps until the earliest due instant, so only a
+    // new earliest item moves its wake-up.
+    const bool earliest = delayed_.front().seq == seq;
+    lock.unlock();
+    if (earliest) not_empty_.notify_one();
+    return true;
+  }
+
+  /// Non-blocking pop of a pushed item or a due one; nullopt when there is
+  /// neither.
   std::optional<T> try_pop() {
     std::lock_guard<std::mutex> lock(mutex_);
     return pop_locked();
   }
 
-  /// Blocks up to `timeout` for an item; nullopt on timeout or when the
-  /// channel is closed and drained.  A zero (or negative) timeout is an
-  /// exact synonym for try_pop: one locked check, no condvar wait — pollers
-  /// spinning with pop_for(0us) must not pay a futex round trip, and a
-  /// negative duration must not be handed to wait_for (whose behaviour on
-  /// negative timeouts varies by implementation).
+  /// Blocks up to `timeout` for a pushed item or a delayed one falling due;
+  /// nullopt on timeout or when the channel is closed and nothing is due.
+  /// A zero (or negative) timeout is an exact synonym for try_pop: one
+  /// locked check, no condvar wait — pollers spinning with pop_for(0us) must
+  /// not pay a futex round trip, and a negative duration must not reach the
+  /// condvar (whose behaviour on negative timeouts varies by implementation).
   std::optional<T> pop_for(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (timeout > std::chrono::microseconds::zero()) {
-      not_empty_.wait_for(lock, timeout,
-                          [this] { return closed_ || !items_.empty(); });
+      const Clock::time_point deadline = Clock::now() + timeout;
+      while (!closed_ && items_.empty()) {
+        Clock::time_point wake = deadline;
+        if (!delayed_.empty()) {
+          if (expedited_) break;
+          wake = std::min(wake, delayed_.front().due);
+        }
+        if (wake <= Clock::now() ||
+            not_empty_.wait_until(lock, wake) == std::cv_status::timeout) {
+          break;
+        }
+      }
     }
     return pop_locked();
+  }
+
+  /// Makes every delayed item due at once, and every later push_at too.
+  void expedite() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      expedited_ = true;
+    }
+    not_empty_.notify_all();
   }
 
   /// Closes the channel: pending items stay poppable, pushes start failing,
@@ -83,30 +121,61 @@ class Channel {
     return closed_;
   }
 
+  /// Items held, due or not.
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
+    return items_.size() + delayed_.size();
   }
 
-  /// Pops everything currently queued (used at teardown to turn undelivered
-  /// envelopes into the trace's pending records).
+  /// Pops everything held: the pushed items in push order, then the delayed
+  /// ones, due or not (used at teardown to turn undelivered envelopes into
+  /// the trace's pending records).
   std::vector<T> drain() {
     std::vector<T> out;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      out.assign(std::make_move_iterator(items_.begin()),
-                 std::make_move_iterator(items_.end()));
+      out.reserve(items_.size() + delayed_.size());
+      for (T& item : items_) out.push_back(std::move(item));
+      for (Delayed& d : delayed_) out.push_back(std::move(d.item));
       items_.clear();
+      delayed_.clear();
     }
     not_full_.notify_all();
     return out;
   }
 
  private:
+  struct Delayed {
+    Clock::time_point due;
+    std::uint64_t seq = 0;  ///< push order, the tie-break for equal dues
+    T item;
+  };
+  /// Heap order that puts the earliest (due, seq) at the front.
+  static bool later(const Delayed& a, const Delayed& b) {
+    return a.due > b.due || (a.due == b.due && a.seq > b.seq);
+  }
+
+  /// Waits while the channel is full; false once it is closed.
+  bool wait_for_room(std::unique_lock<std::mutex>& lock) {
+    not_full_.wait(lock, [this] {
+      return closed_ || items_.size() + delayed_.size() < capacity_;
+    });
+    return !closed_;
+  }
+
   std::optional<T> pop_locked() {
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> out(std::move(items_.front()));
-    items_.pop_front();
+    std::optional<T> out;
+    if (!items_.empty()) {
+      out.emplace(std::move(items_.front()));
+      items_.pop_front();
+    } else if (!delayed_.empty() &&
+               (expedited_ || delayed_.front().due <= Clock::now())) {
+      std::pop_heap(delayed_.begin(), delayed_.end(), later);
+      out.emplace(std::move(delayed_.back().item));
+      delayed_.pop_back();
+    } else {
+      return std::nullopt;
+    }
     not_full_.notify_one();
     return out;
   }
@@ -116,6 +185,9 @@ class Channel {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
+  std::vector<Delayed> delayed_;  ///< a heap under later()
+  std::uint64_t seq_ = 0;
+  bool expedited_ = false;
   bool closed_ = false;
 };
 

@@ -38,8 +38,8 @@ struct LiveMergeInput {
   Round gst_hint = 0;
   bool terminated = false;
   const std::vector<ProcessLog>* logs = nullptr;
-  /// Copies still in flight at teardown (router queues + mailbox drains);
-  /// driver reorder-buffer leftovers are taken from the logs directly.
+  /// Copies still in flight at teardown (transport leftovers + mailbox
+  /// drains); driver reorder-buffer leftovers come from the logs directly.
   std::vector<UndeliveredCopy> undelivered;
   /// Declared budgeted liars and their budget (sim/byzantine.hpp), stamped
   /// into the merged trace so the validator excuses exactly them.

@@ -5,6 +5,10 @@
 #include <string>
 #include <utility>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace indulgence {
 
 // ---------------------------------------------------------------------------
@@ -131,6 +135,12 @@ constexpr std::chrono::seconds kScriptedWait{30};
 RoundDriver::RoundDriver(DriverContext ctx) : ctx_(std::move(ctx)) {}
 
 void RoundDriver::run() noexcept {
+#if defined(__linux__)
+  // This thread's timed pop releases each router copy, due 20-100 us after
+  // its dispatch by default, and the kernel's default 50 us timer slack would
+  // let that wait fire that much late.  1 ns is the smallest; 0 = default.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   try {
     run_impl();
   } catch (...) {
@@ -277,9 +287,14 @@ void RoundDriver::collect_live(Round k) {
         break;  // model-violating escape valve (lossy runs); validator flags it
       }
     }
-    if (auto env = ctx_.mailbox->pop_for(std::chrono::microseconds{100})) {
-      route(std::move(*env), k);
+    // Poll in 100 us steps, but wake when the floor ends: a floored round
+    // that has heard everyone closes at its floor, not up to a step late.
+    auto wait = std::chrono::microseconds{100};
+    if (!floor_passed) {
+      wait = std::min(wait, std::chrono::ceil<std::chrono::microseconds>(
+                                round_start + opt.round_floor - now));
     }
+    if (auto env = ctx_.mailbox->pop_for(wait)) route(std::move(*env), k);
   }
 }
 

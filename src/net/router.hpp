@@ -1,6 +1,6 @@
-// The live runtime's network: a router thread that applies per-link latency
-// distributions, probabilistic loss, partitions, and a wall-clock GST to
-// every broadcast copy before handing it to the receiver's mailbox.
+// The live runtime's network: per-link latency distributions, probabilistic
+// loss, partitions, and a wall-clock GST, applied to every broadcast copy
+// before it enters its receiver's mailbox, due at its release instant.
 //
 // Faults are an era of the clock, not of the rounds: a copy *sent* before
 // the GST offset may be slow (pre_gst latency), dropped (loss_prob), or
@@ -9,10 +9,10 @@
 // dropping them (ES channels are reliable) and heal at their own `until`
 // or at GST, whichever comes first.
 //
-// All routing state — the release-time priority queue and the fault RNG —
-// is owned by the router thread alone; drivers talk to the router only
-// through its inbound channel and a few atomics, keeping the whole design
-// ThreadSanitizer-clean by construction.
+// The router has no thread: dispatch draws every copy's fate on the sender's
+// thread, under one mutex over the fault RNG, the Byzantine planner and the
+// dead set, and the receiver's own timed pop on its mailbox releases the copy
+// when due.
 
 #pragma once
 
@@ -20,8 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <queue>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,23 +37,30 @@ class LiveRouter final : public SupervisedTransport {
 
   LiveRouter(SystemConfig config, const LiveOptions& options,
              std::vector<std::unique_ptr<Mailbox>>& mailboxes);
-  ~LiveRouter() override;
 
-  /// Starts the router thread; `epoch` is the run's t=0 for GST and
-  /// partition windows.
-  void start(Clock::time_point epoch);
+  /// Sets the run's t=0 for GST and partition windows.
+  void start(Clock::time_point epoch) { epoch_ = epoch; }
 
+  /// Draws every copy's fate at the dispatch instant and pushes it into its
+  /// receiver's mailbox, due at its release instant.
   void dispatch(ProcessId sender, Round round, MessagePtr payload) override;
 
+  /// Later copies skip `pid`.  Its driver has returned, so the copies
+  /// already in its mailbox are never popped; teardown drains them and the
+  /// merge drops pending copies addressed to a crashed process.
   void mark_dead(ProcessId pid) override;
 
-  /// Shutdown-drain accelerator: release every queued copy immediately and
-  /// stop injecting loss, so the final rounds settle fast.
+  /// Shutdown-drain accelerator: every copy in flight, and every later one,
+  /// is due at once and loss stops, so the final rounds settle fast.
   void expedite() override;
 
-  /// Stops the router thread and returns the copies that never reached a
-  /// mailbox (they become the trace's pending records).  Idempotent.
-  std::vector<UndeliveredCopy> stop_and_flush();
+  /// Expedites what is still in flight.  The router holds no copy of its
+  /// own: every copy is in a mailbox, its owner's to drain, so nothing comes
+  /// back undelivered.  Idempotent.
+  std::vector<UndeliveredCopy> stop_and_flush() {
+    expedite();
+    return {};
+  }
 
   /// Copies dropped by loss injection (not by dead-receiver filtering).
   long dropped_copies() const {
@@ -62,50 +68,18 @@ class LiveRouter final : public SupervisedTransport {
   }
 
  private:
-  struct Inbound {
-    ProcessId sender = -1;
-    Round round = 0;
-    MessagePtr payload;
-  };
-  struct Queued {
-    Clock::time_point release;
-    std::uint64_t seq = 0;  ///< FIFO tie-break for equal release times
-    ProcessId receiver = -1;
-    NetEnvelope envelope;
-  };
-  struct LaterFirst {
-    bool operator()(const Queued& a, const Queued& b) const {
-      return a.release > b.release || (a.release == b.release && a.seq > b.seq);
-    }
-  };
-
-  void loop();
-  void fan_out(const Inbound& item, Clock::time_point now);
-  void release_due(Clock::time_point now);
-  bool dead(ProcessId pid) const {
-    return (dead_mask_.load(std::memory_order_acquire) >>
-            static_cast<unsigned>(pid)) &
-           1u;
-  }
-
   SystemConfig config_;
   LiveOptions options_;
   std::vector<std::unique_ptr<Mailbox>>* mailboxes_;
-  Channel<Inbound> inbound_;
+  Clock::time_point epoch_;
+  std::atomic<long> dropped_{0};
 
-  // Router-thread-only state.
-  std::priority_queue<Queued, std::vector<Queued>, LaterFirst> queue_;
+  // Fan-out state; every driver thread dispatches, so mutex_ guards it all.
+  std::mutex mutex_;
   ByzantinePlanner byz_;
   Rng rng_;
-  std::uint64_t seq_ = 0;
-  std::vector<UndeliveredCopy> undelivered_;
-
-  std::thread thread_;
-  Clock::time_point epoch_;
-  std::atomic<bool> expedited_{false};
-  std::atomic<std::uint64_t> dead_mask_{0};
-  std::atomic<long> dropped_{0};
-  bool flushed_ = false;
+  std::uint64_t dead_mask_ = 0;
+  bool expedited_ = false;
 };
 
 }  // namespace indulgence

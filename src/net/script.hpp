@@ -55,8 +55,8 @@ class ScriptView {
 };
 
 /// Fans every broadcast out according to the schedule, inline on the
-/// sender's thread — scripted replay needs no wall-clock and no router
-/// thread, only the receive-round pinning carried by NetEnvelope.
+/// sender's thread — scripted replay needs no wall-clock, only the
+/// receive-round pinning carried by NetEnvelope.
 class ScriptTransport final : public Transport {
  public:
   ScriptTransport(SystemConfig config, const RunSchedule& schedule,

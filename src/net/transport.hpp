@@ -32,8 +32,8 @@ struct NetEnvelope {
 
 using Mailbox = Channel<NetEnvelope>;
 
-/// A copy still in flight (router queues, mailboxes, reorder buffers) when
-/// the run stopped; becomes a PendingRecord in the merged trace.
+/// A copy still in flight (mailboxes, socket hold queues, reorder buffers)
+/// when the run stopped; becomes a PendingRecord in the merged trace.
 struct UndeliveredCopy {
   ProcessId sender = -1;
   ProcessId receiver = -1;

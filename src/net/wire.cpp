@@ -61,57 +61,57 @@ void encode_message_at_depth(const Message& message, WireWriter& out,
   if (depth > kMaxNesting) {
     throw std::invalid_argument("wire: message nesting exceeds codec cap");
   }
-  if (auto* m = dynamic_cast<const HaltedMessage*>(&message)) {
+  if (const auto* m = message_as<HaltedMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::Halted));
     out.i64(m->decision());
-  } else if (auto* m = dynamic_cast<const DecideMessage*>(&message)) {
+  } else if (const auto* m = message_as<DecideMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::Decide));
     out.i64(m->value());
-  } else if (dynamic_cast<const FillerMessage*>(&message) != nullptr) {
+  } else if (message_as<FillerMessage>(&message) != nullptr) {
     out.u8(static_cast<std::uint8_t>(MessageTag::Filler));
-  } else if (auto* m = dynamic_cast<const FloodEstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<FloodEstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::FloodEstimate));
     out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const HrCoordMessage*>(&message)) {
+  } else if (const auto* m = message_as<HrCoordMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::HrCoord));
     out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const HrVoteMessage*>(&message)) {
+  } else if (const auto* m = message_as<HrVoteMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::HrVote));
     out.i64(m->aux());
-  } else if (auto* m = dynamic_cast<const CtEstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<CtEstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::CtEstimate));
     out.i64(m->est());
     out.i32(m->ts());
-  } else if (auto* m = dynamic_cast<const CtProposeMessage*>(&message)) {
+  } else if (const auto* m = message_as<CtProposeMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::CtPropose));
     out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const CtAckMessage*>(&message)) {
+  } else if (const auto* m = message_as<CtAckMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::CtAck));
     out.u8(m->positive() ? 1 : 0);
-  } else if (auto* m = dynamic_cast<const AmrEstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<AmrEstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AmrEstimate));
     out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const AmrVoteMessage*>(&message)) {
+  } else if (const auto* m = message_as<AmrVoteMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AmrVote));
     out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const WsEstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<WsEstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::WsEstimate));
     out.i64(m->est());
     out.u64(m->halt().mask());
-  } else if (auto* m = dynamic_cast<const Af2EstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<Af2EstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::Af2Estimate));
     out.i64(m->est());
-  } else if (auto* m = dynamic_cast<const At2EstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<At2EstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::At2Estimate));
     out.i64(m->est());
     out.u64(m->halt().mask());
-  } else if (auto* m = dynamic_cast<const At2NewEstimateMessage*>(&message)) {
+  } else if (const auto* m = message_as<At2NewEstimateMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::At2NewEstimate));
     out.i64(m->new_estimate());
-  } else if (auto* m = dynamic_cast<const At2UnderlyingMessage*>(&message)) {
+  } else if (const auto* m = message_as<At2UnderlyingMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::At2Underlying));
     encode_message_at_depth(*m->inner(), out, depth + 1);
-  } else if (auto* m = dynamic_cast<const AuthProposeMessage*>(&message)) {
+  } else if (const auto* m = message_as<AuthProposeMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AuthPropose));
     out.i32(m->signer());
     out.i32(m->stamp());
@@ -120,13 +120,13 @@ void encode_message_at_depth(const Message& message, WireWriter& out,
     out.i32(m->lock_view());
     out.i64(m->lock_value());
     out.u64(m->cert().mask());
-  } else if (auto* m = dynamic_cast<const AuthPrepareMessage*>(&message)) {
+  } else if (const auto* m = message_as<AuthPrepareMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AuthPrepare));
     out.i32(m->signer());
     out.i32(m->stamp());
     out.i32(m->view());
     out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const AuthCommitMessage*>(&message)) {
+  } else if (const auto* m = message_as<AuthCommitMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AuthCommit));
     out.i32(m->signer());
     out.i32(m->stamp());
@@ -135,12 +135,12 @@ void encode_message_at_depth(const Message& message, WireWriter& out,
     out.i32(m->lock_view());
     out.i64(m->lock_value());
     out.u64(m->lock_cert().mask());
-  } else if (auto* m = dynamic_cast<const AuthDecideMessage*>(&message)) {
+  } else if (const auto* m = message_as<AuthDecideMessage>(&message)) {
     out.u8(static_cast<std::uint8_t>(MessageTag::AuthDecide));
     out.i32(m->signer());
     out.i32(m->stamp());
     out.i64(m->value());
-  } else if (auto* m = dynamic_cast<const RsmBundleMessage*>(&message)) {
+  } else if (const auto* m = message_as<RsmBundleMessage>(&message)) {
     // One slot-ordered run of parts; an inline notice is written exactly as
     // a DecideMessage part.
     out.u8(static_cast<std::uint8_t>(MessageTag::RsmBundle));

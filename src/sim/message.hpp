@@ -15,6 +15,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "common/types.hpp"
@@ -41,6 +43,16 @@ class Message {
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
+
+/// `message` as a T, or nullptr when it is null or not a T.  Every payload
+/// type is final, so "is a T" means "is exactly a T": one type_info compare
+/// where a dynamic_cast would walk the class hierarchy.
+template <typename T>
+const T* message_as(const Message* message) {
+  static_assert(std::is_final_v<T>, "payload types are final");
+  if (message == nullptr || typeid(*message) != typeid(T)) return nullptr;
+  return static_cast<const T*>(message);
+}
 
 /// Kernel-substituted dummy sent on behalf of a halted (returned) process.
 /// Carries the decision the process halted with, so it doubles as a DECIDE.
@@ -78,7 +90,7 @@ struct Envelope {
   /// Downcast helper: nullptr when the payload is not a T.
   template <typename T>
   const T* as() const {
-    return dynamic_cast<const T*>(payload.get());
+    return message_as<T>(payload.get());
   }
 };
 

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
 #include "fuzz/targets.hpp"
+#include "net/live_trace.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 
@@ -199,6 +202,33 @@ TEST(LiveRuntimeLive, InjectedCrashIsRecordedAndSurvived) {
       run_live(cfg, options, at2->factory, distinct_proposals(cfg.n));
   EXPECT_TRUE(r.ok()) << r.summary() << "\n" << r.validation.to_string();
   EXPECT_TRUE(r.trace.crashed().contains(0));
+}
+
+TEST(LiveRuntimeMerge, CopiesLeftForACrashedReceiverAreNotPending) {
+  // A crashed receiver never pops again, so teardown drains the copies
+  // still in its mailbox; like the kernel, the merge keeps none of them as
+  // pending.  Copies left for live receivers stay pending.
+  const SystemConfig cfg{.n = 3, .t = 1};
+  std::vector<ProcessLog> logs(static_cast<std::size_t>(cfg.n));
+  for (ProcessId pid = 0; pid < 2; ++pid) {
+    logs[static_cast<std::size_t>(pid)].sends.push_back(
+        SendRecord{1, pid, false});
+    logs[static_cast<std::size_t>(pid)].completed = 1;
+  }
+  logs[2].crash = CrashRecord{1, 2, true};
+  LiveMergeInput input;
+  input.config = cfg;
+  input.logs = &logs;
+  input.undelivered = {UndeliveredCopy{0, 1, 1, 0}, UndeliveredCopy{0, 2, 1, 0},
+                       UndeliveredCopy{1, 0, 1, 0}, UndeliveredCopy{1, 2, 1, 0}};
+
+  const RunTrace trace = merge_process_logs(input);
+  std::vector<std::pair<ProcessId, ProcessId>> pending;
+  for (const PendingRecord& p : trace.pending()) {
+    pending.emplace_back(p.sender, p.receiver);
+  }
+  EXPECT_EQ(pending, (std::vector<std::pair<ProcessId, ProcessId>>{{0, 1},
+                                                                   {1, 0}}));
 }
 
 TEST(LiveRuntimeLive, MessageLossIsFlaggedByTheValidator) {

@@ -1,10 +1,12 @@
 // The bounded MPSC channel under the live runtime: FIFO order,
-// backpressure, close semantics, and multi-producer correctness.
+// backpressure, close semantics, multi-producer correctness, and the delay
+// line (push_at, expedite).
 
 #include "net/channel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -125,6 +127,83 @@ TEST(NetChannel, DrainReturnsLeftoversInOrder) {
   const std::vector<int> rest = ch.drain();
   ASSERT_EQ(rest.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(rest[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(ch.size(), 0u);
+}
+
+using Clock = Channel<int>::Clock;
+
+TEST(NetChannel, PushAtItemIsNotPoppedBeforeItsDueInstant) {
+  Channel<int> ch(4);
+  EXPECT_TRUE(ch.push_at(8, Clock::now() + 1h));
+  EXPECT_EQ(ch.size(), 1u);
+  EXPECT_FALSE(ch.try_pop().has_value());
+  EXPECT_FALSE(ch.pop_for(2ms).has_value());
+
+  // Only a lower bound: a loaded host may pop late, never early.
+  const auto due = Clock::now() + 5ms;
+  EXPECT_TRUE(ch.push_at(7, due));
+  const auto item = ch.pop_for(10s);
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(*item, 7);
+  EXPECT_GE(Clock::now(), due);
+}
+
+TEST(NetChannel, DelayedItemsPopByDueInstantThenPushOrder) {
+  Channel<int> ch(8);
+  const auto past = Clock::now() - 1ms;
+  EXPECT_TRUE(ch.push_at(2, past));
+  EXPECT_TRUE(ch.push_at(1, past - 1ms));
+  EXPECT_TRUE(ch.push_at(3, past));
+  for (int want = 1; want <= 3; ++want) {
+    EXPECT_EQ(ch.try_pop().value_or(-1), want);
+  }
+}
+
+TEST(NetChannel, PushedItemsStayFifoBesideDelayedOnes) {
+  Channel<int> ch(8);
+  EXPECT_TRUE(ch.push_at(100, Clock::now() + 1h));
+  EXPECT_TRUE(ch.push(1));
+  EXPECT_TRUE(ch.push_at(101, Clock::now() - 1ms));
+  EXPECT_TRUE(ch.push(2));
+  EXPECT_TRUE(ch.push(3));
+  std::vector<int> popped;
+  while (auto item = ch.try_pop()) popped.push_back(*item);
+  // The due item pops too, the undue one does not, and the pushed items
+  // keep their order around it.
+  ASSERT_EQ(popped.size(), 4u);
+  EXPECT_EQ(std::count(popped.begin(), popped.end(), 101), 1);
+  std::erase(popped, 101);
+  EXPECT_EQ(popped, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ch.size(), 1u);
+}
+
+TEST(NetChannel, ExpediteMakesEveryDelayedItemPoppableAtOnce) {
+  Channel<int> ch(8);
+  EXPECT_TRUE(ch.push_at(1, Clock::now() + 1h));
+  EXPECT_TRUE(ch.push_at(2, Clock::now() + 2h));
+  // A consumer asleep until the earliest due instant wakes on expedite.
+  std::atomic<int> woke_with{-1};
+  std::thread consumer([&] { woke_with.store(ch.pop_for(1h).value_or(-1)); });
+  std::this_thread::sleep_for(10ms);
+  ch.expedite();
+  consumer.join();
+  EXPECT_EQ(woke_with.load(), 1);
+  EXPECT_EQ(ch.try_pop().value_or(-1), 2);
+  // Later delayed items are due at once as well.
+  EXPECT_TRUE(ch.push_at(3, Clock::now() + 1h));
+  EXPECT_EQ(ch.try_pop().value_or(-1), 3);
+}
+
+TEST(NetChannel, DrainReturnsDelayedItemsToo) {
+  Channel<int> ch(8);
+  EXPECT_TRUE(ch.push(1));
+  EXPECT_TRUE(ch.push_at(2, Clock::now() + 1h));
+  EXPECT_TRUE(ch.push_at(3, Clock::now() - 1ms));
+  std::vector<int> rest = ch.drain();
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_EQ(rest.front(), 1);
+  std::sort(rest.begin(), rest.end());
+  EXPECT_EQ(rest, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(ch.size(), 0u);
 }
 

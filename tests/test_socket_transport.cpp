@@ -578,6 +578,9 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
   // The old per-frame find_if from begin() made this quadratic in the
   // backlog and the old write loop spent one syscall per frame; the fix
   // must deliver every copy, promptly, at >= 4 frames per flush syscall.
+  // A loaded host may redial a link mid-backlog, and the reliable channel
+  // then resends its unacked window, so only first transmissions and
+  // deliveries are counted exactly.
   constexpr int kBacklog = 10'000;
   const SystemConfig cfg{.n = 3, .t = 1};
   const std::string dir = fresh_socket_dir();
@@ -605,8 +608,7 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
   const long expected = static_cast<long>(kBacklog) * (cfg.n - 1);
   const auto deadline = start + std::chrono::seconds{30};
   while (std::chrono::steady_clock::now() < deadline) {
-    const SocketCounters c = endpoints[0]->counters();
-    if (c.envelopes_sent + c.envelopes_resent >= expected) break;
+    if (endpoints[0]->counters().envelopes_sent >= expected) break;
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -619,7 +621,7 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
   EXPECT_TRUE(rest.empty());
   SocketCounters total;
   for (auto& ep : endpoints) total += ep->counters();
-  EXPECT_EQ(total.envelopes_sent + total.envelopes_resent, expected);
+  EXPECT_EQ(total.envelopes_sent, expected);
   EXPECT_EQ(total.envelopes_delivered, expected);
   ASSERT_GT(total.flush_syscalls, 0);
   const double frames_per_syscall =
