@@ -1,11 +1,12 @@
 // X5-socket — the RSM service over real sockets (extension).
 //
 // Same RsmReplica code and done/observer plumbing as X5, but the envelopes
-// leave the address space: the live runtime's router is swapped for the
-// in-process socket fabric, one supervised endpoint per replica over
-// Unix-domain sockets or TCP loopback.  Each transport runs clean and then under the seeded
-// wire-chaos layer (connect failures, accepted-then-closed, resets, stalls,
-// short writes for the first 2 ms), which is where the supervisor earns its
+// leave the address space: instead of the live runtime's router, the cell
+// runs as one group of run_sharded over the in-process socket fabric, one
+// supervised endpoint per replica over Unix-domain sockets or TCP loopback.
+// Each transport runs clean and then under the seeded wire-chaos layer
+// (connect failures, accepted-then-closed, resets, stalls, short writes for
+// the first 2 ms), which is where the supervisor earns its
 // keep: commits must keep landing and the merged trace must still pass the
 // unchanged model validator, with the reconnect/backoff work showing up as
 // counters, not as lost commands.

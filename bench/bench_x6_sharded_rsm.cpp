@@ -55,7 +55,6 @@ Outcome run_cell(const Cell& cell) {
   options.num_groups = cell.groups;
   options.config = kGroupConfig;
   options.live.max_rounds = 64;
-  options.live.mailbox_capacity = 512;
   options.live.quorum_grace = std::chrono::microseconds{400};
   // Loopback rounds close in microseconds, which is not the regime the
   // paper prices: on a real link a round costs at least one RTT.  The

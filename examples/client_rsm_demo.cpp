@@ -8,7 +8,8 @@
 // Four campaigns, all small enough to finish in seconds:
 //   1. in-process, closed loop (4 clients x 4 outstanding)
 //   2. in-process, open loop (seeded Poisson arrivals, shed accounting)
-//   3. socket transport (Unix-domain), closed loop
+//   3. socket transport (Unix-domain): one sharded group over 3 nodes,
+//      closed loop
 //   4. sharded (4 groups x 3 replicas), closed loop with key-hash routing
 //
 // Every campaign still merges its trace and re-checks it with the
@@ -123,7 +124,9 @@ int main(int argc, char** argv) {
                     /*require_target=*/false});
   }
   {
-    CampaignConfig config = base_config(CampaignTarget::Socket);
+    CampaignConfig config = base_config(CampaignTarget::Sharded);
+    config.num_groups = 1;
+    config.num_nodes = config.config.n;
     config.socket_kind = SocketAddress::Kind::Unix;
     config.socket.seed = 23;
     rows.push_back({"socket-uds closed",

@@ -59,9 +59,6 @@ CampaignReport run_live_campaign(const CampaignConfig& config,
       [&fleet](ProcessId pid) { return fleet.commit_for(0, pid); }, rsm);
 
   LiveRuntime runtime(config.config, config.live);
-  if (config.target == CampaignTarget::Socket) {
-    runtime.use_socket_transport(config.socket_kind, config.socket);
-  }
   runtime.set_done_predicate(fleet.done_predicate());
   runtime.set_start_hook(
       [&fleet](std::chrono::steady_clock::time_point epoch) {

@@ -1,9 +1,9 @@
-// The campaign controller: wires a ClientFleet to one of the three RSM
-// runtimes (in-process run_live, socket-transport run_live, multi-group
-// run_sharded), drives it to an ack target through warmup + measure
-// windows, and — after every run, successful or not — still merges the
-// process logs and re-checks them with the unchanged Validator, exactly
-// like the fixed-queue benches.
+// The campaign controller: wires a ClientFleet to one of the two RSM
+// runtimes (the in-process LiveRuntime, or run_sharded over real sockets —
+// one group over n nodes is the single-group socket run), drives it to an
+// ack target through warmup + measure windows, and — after every run,
+// successful or not — still merges the process logs and re-checks them with
+// the unchanged Validator, exactly like the fixed-queue benches.
 //
 // On top of trace validation sits the end-to-end linearizable-ingest
 // oracle: the committed logs, read back across replicas, must be exactly
@@ -23,7 +23,7 @@
 
 namespace indulgence::client {
 
-enum class CampaignTarget { InProcess, Socket, Sharded };
+enum class CampaignTarget { InProcess, Sharded };
 
 struct CampaignConfig {
   CampaignTarget target = CampaignTarget::InProcess;
@@ -31,11 +31,9 @@ struct CampaignConfig {
   LiveOptions live;           ///< pacing, chaos, max_rounds, seed
   AlgorithmFactory slot_factory;  ///< per-slot consensus (required)
 
-  /// Socket / Sharded targets.
+  /// Sharded target only.
   SocketAddress::Kind socket_kind = SocketAddress::Kind::Unix;
   SocketTransportOptions socket;
-
-  /// Sharded target only.
   int num_groups = 8;
   int num_nodes = 3;
 

@@ -151,22 +151,14 @@ bool judge_group(const FuzzTarget& target, const SystemConfig& config,
 
 RunOutcome judge_run(const FuzzTarget& target, const SystemConfig& config,
                      const ViolationPredicate& violated, std::uint64_t seed,
-                     long run_index, const LiveGenOptions& gen, bool socket) {
-  LiveRunPlan plan =
-      socket ? live_socket_run_plan(target, config, seed, run_index, gen)
-             : live_fuzz_run_plan(target, config, seed, run_index, gen);
+                     long run_index, const LiveGenOptions& gen) {
+  const LiveRunPlan plan =
+      live_fuzz_run_plan(target, config, seed, run_index, gen);
   RunOutcome outcome;
   outcome.lossy = plan.lossy;
 
   LiveRuntime runtime(config, plan.options);
-  if (socket) {
-    SocketTransportOptions socket_options;
-    socket_options.seed = plan.options.seed;
-    socket_options.chaos = plan.chaos;
-    runtime.use_socket_transport(SocketAddress::Kind::Unix, socket_options);
-  }
   const RunResult live = runtime.run(target.factory, plan.proposals);
-  if (socket) outcome.counters = runtime.socket_counters();
 
   if (!plan.lossy) {
     judge_group(target, config, violated, run_index, plan.proposals, live,
@@ -192,53 +184,55 @@ RunOutcome judge_run(const FuzzTarget& target, const SystemConfig& config,
   return outcome;
 }
 
-/// The multi-group socket draw: G independent groups of the target over
-/// one shared fabric, every group judged by the single-group oracle.  The
-/// chaos window hits the links all groups share, so a demux bug (wrong
-/// mailbox, cross-group dedup state, a group dying with another's seq)
-/// corrupts some group's merged trace and surfaces as a normal finding.
-RunOutcome judge_sharded_run(const FuzzTarget& target,
-                             const SystemConfig& config,
-                             const ViolationPredicate& violated,
-                             std::uint64_t seed, long run_index,
-                             const LiveGenOptions& gen, int groups) {
-  LiveRunPlan plan =
+/// The socket draw: G independent groups of the target over one shared
+/// fabric, every group judged by the single-group oracle.  One group runs
+/// the plan as drawn over n nodes.  With more, the chaos window hits the
+/// links all groups share, so a demux bug (wrong mailbox, cross-group dedup
+/// state, a group dying with another's seq) corrupts some group's merged
+/// trace and surfaces as a normal finding.
+RunOutcome judge_socket_run(const FuzzTarget& target,
+                            const SystemConfig& config,
+                            const ViolationPredicate& violated,
+                            std::uint64_t seed, long run_index,
+                            const LiveGenOptions& gen, int groups) {
+  const LiveRunPlan plan =
       live_socket_run_plan(target, config, seed, run_index, gen);
-  // A separate stream for the sharding-only draws, so adding them never
-  // perturbs the single-group plan for the same (seed, run index).
-  Rng shard_rng = Rng::for_stream(
-      socket_cell_seed(target, config, seed) ^ fnv1a("sharded:"),
-      static_cast<std::uint64_t>(run_index));
-
   ShardedOptions sharded;
-  sharded.num_nodes = config.n + shard_rng.next_int(0, 1);
+  sharded.num_nodes = config.n;
   sharded.num_groups = groups;
   sharded.config = config;
   sharded.live = plan.options;
-  sharded.live.crashes.clear();  // see LiveFuzzOptions::groups
   sharded.socket.seed = plan.options.seed;
   sharded.socket.chaos = plan.chaos;
-
-  std::vector<std::vector<Value>> proposals(
-      static_cast<std::size_t>(groups));
-  for (auto& per_group : proposals) {
-    per_group = random_proposals(config, shard_rng);
+  std::vector<std::vector<Value>> proposals{plan.proposals};
+  if (groups > 1) {
+    // A separate stream for the sharding-only draws, so adding them never
+    // perturbs the single-group plan for the same (seed, run index).
+    Rng shard_rng = Rng::for_stream(
+        socket_cell_seed(target, config, seed) ^ fnv1a("sharded:"),
+        static_cast<std::uint64_t>(run_index));
+    sharded.num_nodes += shard_rng.next_int(0, 1);
+    sharded.live.crashes.clear();  // see LiveFuzzOptions::groups
+    proposals.resize(static_cast<std::size_t>(groups));
+    for (auto& per_group : proposals) {
+      per_group = random_proposals(config, shard_rng);
+    }
   }
 
-  RunOutcome outcome;
-  outcome.lossy = false;  // the supervisors hold copies; they never drop
+  RunOutcome outcome;  // never lossy: the supervisors hold copies
   const ShardedResult result = run_sharded(
       sharded, [&](GroupId) { return target.factory; },
       [&](GroupId g) { return proposals[static_cast<std::size_t>(g)]; });
   outcome.counters = result.counters;
 
+  const bool one = groups == 1;
   for (const auto& [g, group_outcome] : result.groups) {
     if (judge_group(target, config, violated, run_index,
                     proposals[static_cast<std::size_t>(g)],
                     group_outcome.result, group_outcome.algorithms,
-                    "group " + std::to_string(g) + "/" +
-                        std::to_string(groups) + ": ",
-                    "valid sharded draw", outcome)) {
+                    one ? "" : "group " + std::to_string(g) + "/" +
+                                   std::to_string(groups) + ": ",
+                    one ? "valid draw" : "valid sharded draw", outcome)) {
       break;
     }
   }
@@ -326,11 +320,11 @@ LiveFuzzReport live_fuzz_target(const FuzzTarget& target, SystemConfig config,
             break;
           }
           const RunOutcome outcome =
-              options.socket && options.groups > 1
-                  ? judge_sharded_run(target, config, violated, options.seed,
-                                      i, options.gen, options.groups)
+              options.socket
+                  ? judge_socket_run(target, config, violated, options.seed,
+                                     i, options.gen, options.groups)
                   : judge_run(target, config, violated, options.seed, i,
-                              options.gen, options.socket);
+                              options.gen);
           ++partial.runs;
           if (outcome.lossy) ++partial.lossy_runs;
           if (outcome.flagged_invalid) ++partial.flagged_invalid;

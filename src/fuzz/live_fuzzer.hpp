@@ -28,6 +28,10 @@
 // fixed seed and no wall-clock cutoff every column is derived from the
 // seed stream alone, at any job count (the INDULGENCE_JOBS=1 contract).
 //
+// Live draws run on LiveRuntime's router; socket draws (--socket) run on
+// run_sharded over real Unix sockets, one group over n nodes unless
+// --groups asks for more.
+//
 // Live runs cannot be regenerated from their index (wall-clock timing is
 // part of the input), so the lowest-index finding carries its exported
 // schedule through the campaign reduce; shrinking operates on that export
@@ -58,8 +62,8 @@ struct LiveFuzzOptions {
   /// Wall-clock budget: no new run starts past this point (checked between
   /// runs, never mid-run).  nullopt = runs budget only.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Run over real Unix-domain sockets (the socket fabric, one group over
-  /// n nodes) instead of the in-memory router: every draw is a valid
+  /// Run over real Unix-domain sockets (run_sharded, one group over n
+  /// nodes) instead of the in-memory router: every draw is a valid
   /// profile (sockets never drop copies) plus a seeded wire-chaos window;
   /// the oracle is unchanged.  Uses a distinct seed stream so --live and
   /// --socket sweeps do not shadow each other.

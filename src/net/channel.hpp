@@ -5,7 +5,8 @@
 // pop releases each copy.  The channel is bounded so a stalled consumer
 // exerts backpressure instead of letting queues grow without limit, and
 // teardown drains what is left into the trace's pending records instead of
-// losing it.
+// losing it.  A channel is never closed: its owner drains it once every
+// producer and its consumer have stopped.
 //
 // The implementation is a mutex + condvar over a deque and a small heap; at
 // the live runtime's scale (n <= 13 processes, a few copies per process and
@@ -37,22 +38,20 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Blocks while the channel is full.  Returns false (dropping the item)
-  /// once the channel is closed.
-  bool push(T item) {
+  /// Blocks while the channel is full.
+  void push(T item) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!wait_for_room(lock)) return false;
+    wait_for_room(lock);
     items_.push_back(std::move(item));
     lock.unlock();
     not_empty_.notify_one();
-    return true;
   }
 
   /// Like push, but the item becomes poppable only at `due` (or at once
   /// after expedite()).  Items due at the same instant pop in push order.
-  bool push_at(T item, Clock::time_point due) {
+  void push_at(T item, Clock::time_point due) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (!wait_for_room(lock)) return false;
+    wait_for_room(lock);
     const std::uint64_t seq = seq_++;
     delayed_.push_back(Delayed{due, seq, std::move(item)});
     std::push_heap(delayed_.begin(), delayed_.end(), later);
@@ -61,7 +60,6 @@ class Channel {
     const bool earliest = delayed_.front().seq == seq;
     lock.unlock();
     if (earliest) not_empty_.notify_one();
-    return true;
   }
 
   /// Non-blocking pop of a pushed item or a due one; nullopt when there is
@@ -72,7 +70,7 @@ class Channel {
   }
 
   /// Blocks up to `timeout` for a pushed item or a delayed one falling due;
-  /// nullopt on timeout or when the channel is closed and nothing is due.
+  /// nullopt on timeout.
   /// A zero (or negative) timeout is an exact synonym for try_pop: one
   /// locked check, no condvar wait — pollers spinning with pop_for(0us) must
   /// not pay a futex round trip, and a negative duration must not reach the
@@ -81,7 +79,7 @@ class Channel {
     std::unique_lock<std::mutex> lock(mutex_);
     if (timeout > std::chrono::microseconds::zero()) {
       const Clock::time_point deadline = Clock::now() + timeout;
-      while (!closed_ && items_.empty()) {
+      while (items_.empty()) {
         Clock::time_point wake = deadline;
         if (!delayed_.empty()) {
           if (expedited_) break;
@@ -103,22 +101,6 @@ class Channel {
       expedited_ = true;
     }
     not_empty_.notify_all();
-  }
-
-  /// Closes the channel: pending items stay poppable, pushes start failing,
-  /// blocked producers and consumers wake.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
   /// Items held, due or not.
@@ -155,12 +137,10 @@ class Channel {
     return a.due > b.due || (a.due == b.due && a.seq > b.seq);
   }
 
-  /// Waits while the channel is full; false once it is closed.
-  bool wait_for_room(std::unique_lock<std::mutex>& lock) {
+  void wait_for_room(std::unique_lock<std::mutex>& lock) {
     not_full_.wait(lock, [this] {
-      return closed_ || items_.size() + delayed_.size() < capacity_;
+      return items_.size() + delayed_.size() < capacity_;
     });
-    return !closed_;
   }
 
   std::optional<T> pop_locked() {
@@ -188,7 +168,6 @@ class Channel {
   std::vector<Delayed> delayed_;  ///< a heap under later()
   std::uint64_t seq_ = 0;
   bool expedited_ = false;
-  bool closed_ = false;
 };
 
 }  // namespace indulgence

@@ -135,8 +135,6 @@ struct LiveOptions {
   /// Seed of the router's latency / loss / jitter draws.
   std::uint64_t seed = 1;
 
-  std::size_t mailbox_capacity = 1 << 14;
-
   /// How long the shutdown drain waits for the final rounds' messages
   /// before closing below a full set (scheduling-jitter safety valve).
   std::chrono::microseconds drain_wait{100'000};

@@ -147,7 +147,7 @@ void RoundDriver::run() noexcept {
     error_ = std::current_exception();
     // Unblock the peers: without these reports their gates would wait for
     // this process' messages until their own timeouts.
-    if (ctx_.supervision) ctx_.supervision->mark_dead(ctx_.self);
+    ctx_.transport->mark_dead(ctx_.self);
     ctx_.control->report_crash(ctx_.self);
     ctx_.control->force_stop(false);
   }
@@ -387,7 +387,7 @@ void RoundDriver::run_impl() {
         !(ctx_.script == nullptr && control.stop_requested());
     if (crash_now && crash->before_send) {
       log_.crash = CrashRecord{k, ctx_.self, true};
-      if (ctx_.supervision) ctx_.supervision->mark_dead(ctx_.self);
+      ctx_.transport->mark_dead(ctx_.self);
       control.report_crash(ctx_.self);
       return;
     }
@@ -411,7 +411,7 @@ void RoundDriver::run_impl() {
 
     if (crash_now) {
       log_.crash = CrashRecord{k, ctx_.self, false};
-      if (ctx_.supervision) ctx_.supervision->mark_dead(ctx_.self);
+      ctx_.transport->mark_dead(ctx_.self);
       control.report_crash(ctx_.self);
       return;
     }

@@ -77,8 +77,8 @@ class RunControl {
   explicit RunControl(SystemConfig config);
 
   /// Optional hook fired exactly once when the stop is first requested
-  /// (the live runtime plugs the router's expedite() in here).  Set before
-  /// the driver threads start.
+  /// (the driver runner expedites the group's transports here).  Set
+  /// before the driver threads start.
   std::function<void()> on_stop;
 
   void report_done(ProcessId pid);
@@ -142,31 +142,32 @@ class RunControl {
   std::atomic<int> crashed_n_{0};
 };
 
+/// What one driver runs with.  The fields down to `epoch` are its group's,
+/// shared by every replica of the group; DriverRunner::add_group fills the
+/// rest per hosted replica.
 struct DriverContext {
-  ProcessId self = -1;
   SystemConfig config;
   const LiveOptions* options = nullptr;
-  Transport* transport = nullptr;
-  Mailbox* mailbox = nullptr;
-  RunControl* control = nullptr;
   const ScriptView* script = nullptr;  ///< null = live mode
-  /// Live mode: the transport's control plane (mark_dead on crash).  Null in
-  /// scripted mode, where the transport needs no supervision.
-  SupervisedTransport* supervision = nullptr;
-  /// The group's shared pulse board (pacemaker synchronizer).  Null when no
-  /// board is reachable — scripted mode, or a remote shard follower whose
-  /// coordinator lives in another address space.
-  PulseBoard* pulses = nullptr;
   /// > 0: run exactly rounds 1..fixed_rounds and exit — the multi-process
   /// mode, where no shared-memory RunControl can run the armed-stop
   /// protocol across address spaces, so every process agrees on the round
   /// count a priori instead.  0 = armed-stop shutdown (single-process).
   Round fixed_rounds = 0;
   AlgorithmFactory factory;
-  Value proposal = kBottom;
   DonePredicate done;       ///< null = "has decided"
-  RoundObserver observer;   ///< may be null
+  RoundObserver observer = nullptr;
   std::chrono::steady_clock::time_point epoch;
+
+  ProcessId self = -1;
+  Transport* transport = nullptr;
+  Mailbox* mailbox = nullptr;
+  Value proposal = kBottom;
+  RunControl* control = nullptr;
+  /// The group's shared pulse board (pacemaker synchronizer).  Null when
+  /// some replica of the group runs in another address space, where no
+  /// board reaches its coordinator.
+  PulseBoard* pulses = nullptr;
 };
 
 class RoundDriver {

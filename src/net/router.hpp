@@ -31,7 +31,7 @@
 
 namespace indulgence {
 
-class LiveRouter final : public SupervisedTransport {
+class LiveRouter final : public Transport {
  public:
   using Clock = std::chrono::steady_clock;
 
@@ -53,14 +53,6 @@ class LiveRouter final : public SupervisedTransport {
   /// Shutdown-drain accelerator: every copy in flight, and every later one,
   /// is due at once and loss stops, so the final rounds settle fast.
   void expedite() override;
-
-  /// Expedites what is still in flight.  The router holds no copy of its
-  /// own: every copy is in a mailbox, its owner's to drain, so nothing comes
-  /// back undelivered.  Idempotent.
-  std::vector<UndeliveredCopy> stop_and_flush() {
-    expedite();
-    return {};
-  }
 
   /// Copies dropped by loss injection (not by dead-receiver filtering).
   long dropped_copies() const {

@@ -9,19 +9,12 @@
 #include "net/live_trace.hpp"
 #include "net/router.hpp"
 #include "net/script.hpp"
-#include "net/sharded_runtime.hpp"
 
 namespace indulgence {
 
 LiveRuntime::LiveRuntime(SystemConfig config, LiveOptions options)
     : config_(config), options_(std::move(options)) {
   config_.validate();
-}
-
-void LiveRuntime::use_socket_transport(SocketAddress::Kind kind,
-                                       SocketTransportOptions socket_options) {
-  socket_kind_ = kind;
-  socket_options_ = std::move(socket_options);
 }
 
 RunResult LiveRuntime::run(const AlgorithmFactory& factory,
@@ -58,83 +51,50 @@ RunResult LiveRuntime::execute(const RunSchedule* schedule, Model model,
     mailboxes.push_back(make_mailbox(config_, options_));
   }
 
-  // One transport for the group: a scripted replay, the router, or the
-  // socket fabric with one endpoint per process (a single group over n
-  // nodes, so group_placement is the identity).  `supervised[pid]` is
-  // process pid's view of it; scripted replays need no supervision.
+  // One transport for the group: a scripted replay or the router.
   std::optional<ScriptView> script;
   std::unique_ptr<ScriptTransport> script_transport;
   std::unique_ptr<LiveRouter> router;
-  std::unique_ptr<SocketFabric> fabric;
-  std::vector<SupervisedTransport*> supervised;
+  Transport* transport = nullptr;
   if (schedule) {
     script.emplace(config_, *schedule);
     script_transport =
         std::make_unique<ScriptTransport>(config_, *schedule, mailboxes);
-  } else if (socket_kind_) {
-    fabric = std::make_unique<SocketFabric>(n, *socket_kind_, socket_options_,
-                                            options_.byzantine);
-    const std::vector<int> members = group_placement(0, n, n);
-    for (ProcessId pid = 0; pid < n; ++pid) {
-      supervised.push_back(&fabric->host(
-          0, config_, pid, members,
-          mailboxes[static_cast<std::size_t>(pid)].get()));
-    }
+    transport = script_transport.get();
   } else {
     router = std::make_unique<LiveRouter>(config_, options_, mailboxes);
-    supervised.assign(static_cast<std::size_t>(n), router.get());
+    transport = router.get();
   }
-
-  RunControl control(config_);
-  PulseBoard pulses;  // the group's shared pacemaker signal (in-process)
-  control.on_stop = [&supervised] {
-    for (SupervisedTransport* transport : supervised) transport->expedite();
-  };
 
   const auto epoch = std::chrono::steady_clock::now();
   if (router) router->start(epoch);
-  if (fabric) fabric->start(epoch);
   if (start_hook_) start_hook_(epoch);
 
-  DriverRunner runner;
+  std::vector<HostedReplica> replicas;
   for (ProcessId pid = 0; pid < n; ++pid) {
-    DriverContext ctx;
-    ctx.self = pid;
-    ctx.config = config_;
-    ctx.options = &options_;
-    ctx.mailbox = mailboxes[static_cast<std::size_t>(pid)].get();
-    ctx.control = &control;
-    if (script) {
-      ctx.transport = script_transport.get();
-      ctx.script = &*script;
-    } else {
-      ctx.supervision = supervised[static_cast<std::size_t>(pid)];
-      ctx.transport = ctx.supervision;
-      ctx.pulses = &pulses;
-    }
-    ctx.factory = factory;
-    ctx.proposal = proposals[static_cast<std::size_t>(pid)];
-    ctx.done = done_;
-    ctx.observer = observer_;
-    ctx.epoch = epoch;
-    runner.add(0, std::move(ctx));
+    replicas.push_back(HostedReplica{
+        pid, mailboxes[static_cast<std::size_t>(pid)].get(), transport,
+        proposals[static_cast<std::size_t>(pid)]});
   }
-  GroupLogs group = std::move(runner.run([&] {
-    if (router) return router->stop_and_flush();
-    if (!fabric) return std::vector<UndeliveredCopy>{};
-    std::vector<UndeliveredCopy> undelivered = fabric->stop();
-    socket_counters_ = fabric->counters();
-    return undelivered;
-  })[0]);
+  DriverRunner runner;
+  runner.add_group(0,
+                   DriverContext{.config = config_,
+                                 .options = &options_,
+                                 .script = script ? &*script : nullptr,
+                                 .factory = factory,
+                                 .done = done_,
+                                 .observer = observer_,
+                                 .epoch = epoch},
+                   replicas);
+  GroupLogs group = std::move(runner.run()[0]);
 
   algorithms_ = std::move(group.algorithms);
-  dropped_ = router             ? router->dropped_copies()
-             : script_transport ? script_transport->dropped_copies()
-                                : 0;
+  dropped_ = router ? router->dropped_copies()
+                    : script_transport->dropped_copies();
 
   merge.model = model;
   merge.gst_hint = schedule ? schedule->gst() : 0;
-  merge.terminated = control.completed_normally();
+  merge.terminated = group.terminated;
   merge.logs = &group.logs;
   merge.undelivered = std::move(group.undelivered);
   return merge_and_judge(merge);

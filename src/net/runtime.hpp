@@ -1,9 +1,10 @@
 // LiveRuntime: run any RoundAlgorithm — the seven consensus algorithms or
 // the RSM replica — as a real concurrent service, one thread per process,
-// exchanging messages through a fault-injecting router (live mode), the
-// socket fabric (live mode over real sockets), or a schedule-replaying
-// transport (scripted mode).  It is the one-group case of the driver
-// runner (net/driver_runner) that run_sharded and ShardedNode share.
+// exchanging messages through a fault-injecting router (live mode) or a
+// schedule-replaying transport (scripted mode).  It is the one-group,
+// in-process case of the driver runner (net/driver_runner) that run_sharded
+// and ShardedNode share; a run over real sockets is run_sharded with one
+// group over n nodes (net/sharded_runtime).
 //
 // Every mode ends in the same place as the lockstep kernel: a merged
 // RunTrace re-checked by the independent model validator, wrapped in the
@@ -13,11 +14,9 @@
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "net/options.hpp"
-#include "net/socket_transport.hpp"
 #include "sim/harness.hpp"
 #include "sim/process.hpp"
 #include "sim/schedule.hpp"
@@ -41,18 +40,6 @@ class LiveRuntime {
   /// drivers' clock base.
   using StartHook = std::function<void(std::chrono::steady_clock::time_point)>;
   void set_start_hook(StartHook hook) { start_hook_ = std::move(hook); }
-
-  /// Routes live runs over real sockets — the in-process SocketFabric with
-  /// one group over n nodes, one endpoint per process, UDS or TCP loopback
-  /// — instead of the fault-injecting router.  The router's latency/loss/
-  /// partition knobs do not apply; wire chaos in `socket_options.chaos`
-  /// takes their place.  LiveOptions::byzantine applies on both.  Scripted
-  /// replays are unaffected.
-  void use_socket_transport(SocketAddress::Kind kind,
-                            SocketTransportOptions socket_options = {});
-
-  /// Supervisor counters aggregated over the last socket-transport run.
-  const SocketCounters& socket_counters() const { return socket_counters_; }
 
   /// Live mode: wall-clock GST, router-injected latency / loss / partitions
   /// / crashes, post-hoc minimal conforming GST round in the trace.
@@ -84,9 +71,6 @@ class LiveRuntime {
   StartHook start_hook_;
   AlgorithmInstances algorithms_;
   long dropped_ = 0;
-  std::optional<SocketAddress::Kind> socket_kind_;
-  SocketTransportOptions socket_options_;
-  SocketCounters socket_counters_;
 };
 
 /// One-shot live run with default predicates.

@@ -80,28 +80,17 @@ ShardedResult run_sharded(const ShardedOptions& options,
 
   // Register every group's replicas with their hosting endpoints; each gets
   // the GroupPort view its (unchanged) driver will use.
-  std::vector<std::vector<GroupPort*>> ports(static_cast<std::size_t>(groups));
+  std::vector<std::vector<HostedReplica>> replicas(
+      static_cast<std::size_t>(groups));
   for (GroupId g = 0; g < groups; ++g) {
     const std::vector<int> members = group_placement(g, config.n, nodes);
     auto& boxes = mailboxes[static_cast<std::size_t>(g)];
     for (ProcessId pid = 0; pid < config.n; ++pid) {
       boxes.push_back(make_mailbox(config, options.live));
-      ports[static_cast<std::size_t>(g)].push_back(
-          &fabric.host(g, config, pid, members, boxes.back().get()));
+      replicas[static_cast<std::size_t>(g)].push_back(HostedReplica{
+          pid, boxes.back().get(),
+          &fabric.host(g, config, pid, members, boxes.back().get())});
     }
-  }
-
-  std::vector<std::unique_ptr<RunControl>> controls;
-  std::vector<std::unique_ptr<PulseBoard>> boards;
-  controls.reserve(static_cast<std::size_t>(groups));
-  boards.reserve(static_cast<std::size_t>(groups));
-  for (GroupId g = 0; g < groups; ++g) {
-    controls.push_back(std::make_unique<RunControl>(config));
-    boards.push_back(std::make_unique<PulseBoard>());
-    auto& group_ports = ports[static_cast<std::size_t>(g)];
-    controls.back()->on_stop = [&group_ports] {
-      for (GroupPort* port : group_ports) port->expedite();
-    };
   }
 
   const auto epoch = std::chrono::steady_clock::now();
@@ -113,28 +102,19 @@ ShardedResult run_sharded(const ShardedOptions& options,
     if (static_cast<int>(proposals.size()) != config.n) {
       throw std::invalid_argument("sharded: need one proposal per replica");
     }
-    const AlgorithmFactory factory = factory_for(g);
-    for (ProcessId pid = 0; pid < config.n; ++pid) {
-      DriverContext ctx;
-      ctx.self = pid;
-      ctx.config = config;
-      ctx.options = &options.live;
-      ctx.transport = ports[static_cast<std::size_t>(g)]
-                           [static_cast<std::size_t>(pid)];
-      ctx.mailbox = mailboxes[static_cast<std::size_t>(g)]
-                             [static_cast<std::size_t>(pid)]
-                                 .get();
-      ctx.control = controls[static_cast<std::size_t>(g)].get();
-      ctx.supervision = ports[static_cast<std::size_t>(g)]
-                             [static_cast<std::size_t>(pid)];
-      ctx.pulses = boards[static_cast<std::size_t>(g)].get();
-      ctx.fixed_rounds = options.fixed_rounds;
-      ctx.factory = factory;
-      ctx.proposal = proposals[static_cast<std::size_t>(pid)];
-      ctx.done = options.done;
-      ctx.epoch = epoch;
-      runner.add(g, std::move(ctx));
+    auto& hosted = replicas[static_cast<std::size_t>(g)];
+    for (HostedReplica& replica : hosted) {
+      replica.proposal = proposals[static_cast<std::size_t>(replica.self)];
     }
+    runner.add_group(g,
+                     DriverContext{.config = config,
+                                   .options = &options.live,
+                                   .fixed_rounds = options.fixed_rounds,
+                                   .factory = factory_for(g),
+                                   .done = options.done,
+                                   .observer = options.observer,
+                                   .epoch = epoch},
+                     hosted);
   }
   std::map<GroupId, GroupLogs> logs =
       runner.run([&fabric] { return fabric.stop(); });
@@ -148,9 +128,7 @@ ShardedResult run_sharded(const ShardedOptions& options,
     LiveMergeInput merge = declared;
     merge.model = Model::ES;
     merge.gst_hint = 0;  // derive the minimal conforming GST per group
-    merge.terminated =
-        options.fixed_rounds > 0 ||
-        controls[static_cast<std::size_t>(g)]->completed_normally();
+    merge.terminated = group.terminated;
     merge.logs = &group.logs;
     merge.undelivered = std::move(group.undelivered);
 
@@ -201,31 +179,23 @@ std::vector<ShippedLog> ShardedNode::run(Round fixed_rounds,
   const auto epoch = std::chrono::steady_clock::now();
   endpoint_->start(epoch);
 
-  // Each hosted replica gets its own RunControl: the armed-stop protocol
-  // cannot span address spaces, and fixed_rounds makes it vestigial — the
-  // control only carries the crash/done accounting of a 1-driver run.
-  // Pulse boards cannot span address spaces either, so ctx.pulses stays
-  // null: a remote pacemaker follower runs its grace-timeout fallback,
-  // which is exactly the policy's pulse-loss story.
-  std::vector<std::unique_ptr<RunControl>> controls;
-  controls.reserve(hosted_.size());
+  // The armed-stop protocol cannot span address spaces, and fixed_rounds
+  // makes it vestigial: each hosted replica's group control only carries
+  // the crash/done accounting of a 1-driver run, and expedites the port on
+  // an abort.  Pulse boards cannot span address spaces either, so a remote
+  // pacemaker follower runs its grace-timeout fallback, which is exactly
+  // the policy's pulse-loss story.
   DriverRunner runner;
-  for (Hosted& hosted : hosted_) {
-    controls.push_back(std::make_unique<RunControl>(hosted.config));
-    DriverContext ctx;
-    ctx.self = hosted.self;
-    ctx.config = hosted.config;
-    ctx.options = &live_;
-    ctx.transport = hosted.port.get();
-    ctx.mailbox = hosted.mailbox.get();
-    ctx.control = controls.back().get();
-    ctx.supervision = hosted.port.get();
-    ctx.fixed_rounds = fixed_rounds;
-    ctx.factory = hosted.factory;
-    ctx.proposal = hosted.proposal;
-    ctx.done = done;
-    ctx.epoch = epoch;
-    runner.add(hosted.group, std::move(ctx));
+  for (const Hosted& hosted : hosted_) {
+    runner.add_group(hosted.group,
+                     DriverContext{.config = hosted.config,
+                                   .options = &live_,
+                                   .fixed_rounds = fixed_rounds,
+                                   .factory = hosted.factory,
+                                   .done = done,
+                                   .epoch = epoch},
+                     {HostedReplica{hosted.self, hosted.mailbox.get(),
+                                    hosted.port.get(), hosted.proposal}});
   }
   // A node hosts at most one replica per group, so each hosted replica is
   // its own group in the runner's result.

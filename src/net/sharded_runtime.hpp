@@ -18,12 +18,13 @@
 // replicas of one group on pairwise-distinct nodes (the transport enforces
 // it).
 //
-// Two drive modes share the driver runner (net/driver_runner) with the
-// single-group LiveRuntime:
+// Two drive modes hand their groups to the driver runner
+// (net/driver_runner), as the in-process LiveRuntime does:
 //   * run_sharded(): everything in one process — a SocketFabric of M
 //     endpoints over real sockets, G x n driver threads, per-group
 //     armed-stop shutdown, per-group merge + validation.  The bench and
-//     fuzz entry point.
+//     fuzz entry point, and every run over real sockets: one group over
+//     n nodes is the single-group socket run (identity placement).
 //   * ShardedNode: one OS process per node for the multi-process demo —
 //     hosts its share of replicas, runs them for an agreed fixed round
 //     count, and ships one ShippedLog per hosted group; the launcher
@@ -64,6 +65,8 @@ struct ShardedOptions {
   SocketAddress::Kind kind = SocketAddress::Kind::Unix;
   SocketTransportOptions socket;
   DonePredicate done;         ///< per replica; null = "has decided"
+  /// Per-round probe of every replica (group-local pid); may be null.
+  RoundObserver observer;
   /// > 0: every replica runs exactly rounds 1..fixed_rounds (the
   /// multi-process discipline); 0 = per-group armed-stop shutdown.
   Round fixed_rounds = 0;

@@ -374,10 +374,6 @@ class SocketEndpoint final {
   SocketCounters counters() const;  ///< endpoint-wide aggregate
   SocketCounters link_counters(int node) const;  ///< the link's own fields
   SocketCounters group_counters(GroupId group) const;  ///< the group's own
-  /// The frame-buffer pool recycling encoded envelopes across flushes
-  /// (observability: the E10 microbench and the pool tests read its
-  /// reuse/miss stats).
-  const FrameBufferPool& frame_pool() const { return pool_; }
 
  private:
   struct Link;
@@ -453,12 +449,12 @@ class SocketEndpoint final {
   FrameBufferPool pool_;
 };
 
-/// A per-group SupervisedTransport view over a shared multi-group
-/// endpoint: the demux layer's send-side facade.  The round drivers of
-/// group g hold a GroupPort and never learn the endpoint is shared —
-/// DriverContext, RoundDriver, and the validator stay single-group.  The
-/// endpoint's owner starts and stops it, once for all its groups.
-class GroupPort final : public SupervisedTransport {
+/// A per-group Transport view over a shared multi-group endpoint: the
+/// demux layer's send-side facade.  The round drivers of group g hold a
+/// GroupPort and never learn the endpoint is shared — DriverContext,
+/// RoundDriver, and the validator stay single-group.  The endpoint's owner
+/// starts and stops it, once for all its groups.
+class GroupPort final : public Transport {
  public:
   GroupPort(SocketEndpoint* endpoint, GroupId group)
       : endpoint_(endpoint), group_(group) {}
@@ -477,9 +473,9 @@ class GroupPort final : public SupervisedTransport {
 };
 
 /// M node endpoints wired over real sockets inside one process: the fabric
-/// run_sharded drives G groups over, and LiveRuntime's socket transport
-/// (one group, M = n nodes, identity placement).  Every listener binds in
-/// the constructor, so the endpoints reach each other as soon as they
+/// run_sharded drives G groups over (one group over M = n nodes is the
+/// single-group socket run, with identity placement).  Every listener binds
+/// in the constructor, so the endpoints reach each other as soon as they
 /// start.  Unix-domain endpoints live under a fresh temp directory that
 /// goes with the fabric, also when the run throws; TCP endpoints bind
 /// ephemeral loopback ports.  Node i's endpoint runs with seed

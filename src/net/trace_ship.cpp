@@ -310,10 +310,4 @@ std::map<GroupId, RunResult> ship_and_merge_groups(
   return results;
 }
 
-SocketCounters total_counters(const std::vector<ShippedLog>& logs) {
-  SocketCounters total;
-  for (const ShippedLog& shipped : logs) total += shipped.counters;
-  return total;
-}
-
 }  // namespace indulgence

@@ -62,7 +62,4 @@ RunResult ship_and_merge(std::vector<ShippedLog> logs, bool terminated);
 std::map<GroupId, RunResult> ship_and_merge_groups(
     std::vector<ShippedLog> logs, bool terminated);
 
-/// Aggregate supervisor counters across shipped logs.
-SocketCounters total_counters(const std::vector<ShippedLog>& logs);
-
 }  // namespace indulgence

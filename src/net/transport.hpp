@@ -4,7 +4,9 @@
 // fated copies come back to each process through its Mailbox as
 // NetEnvelopes.  Three transports exist: the fault-injecting LiveRouter
 // (router.hpp), the schedule-replaying ScriptTransport (script.hpp), and
-// the socket fabric's per-group GroupPort (socket_transport.hpp).
+// the socket fabric's per-group GroupPort (socket_transport.hpp).  All three
+// share one interface: a driver reports its crash through mark_dead, and the
+// run's stop expedites every transport of the group.
 
 #pragma once
 
@@ -42,6 +44,9 @@ struct UndeliveredCopy {
   GroupId group = 0;
 };
 
+/// Whoever owns a transport starts it and, once every driver has exited,
+/// stops it; the copies still in flight then become the trace's pending
+/// records.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -50,24 +55,17 @@ class Transport {
   /// process (self-delivery is the driver's, mirroring the kernel's
   /// unconditional in-round self-delivery).  Thread-safe.
   virtual void dispatch(ProcessId sender, Round round, MessagePtr payload) = 0;
-};
 
-/// The control plane live drivers and the armed stop need from a transport
-/// (the fault-injecting router, a socket GroupPort): crash reporting and
-/// shutdown acceleration.  Whoever owns the transport starts it and, once
-/// every driver has exited, stops it; the copies still in flight then
-/// become the trace's pending records.  The scripted transport is the one
-/// Transport that is NOT supervised — its lifetime is the replay itself.
-class SupervisedTransport : public Transport {
- public:
   /// Crashed processes stop receiving; copies addressed to them are dropped
   /// silently (the kernel does the same, and the validator never asks for
-  /// deliveries to the dead).
-  virtual void mark_dead(ProcessId pid) = 0;
+  /// deliveries to the dead).  A scripted replay's copies are fated by its
+  /// schedule, so the default does nothing.
+  virtual void mark_dead(ProcessId /*pid*/) {}
 
   /// Shutdown-drain accelerator: deliver everything still queued as fast as
   /// possible and stop injecting faults, so the final rounds settle fast.
-  virtual void expedite() = 0;
+  /// A scripted replay injects nothing, so the default does nothing.
+  virtual void expedite() {}
 };
 
 }  // namespace indulgence

@@ -209,7 +209,6 @@ void RsmReplica::record_commit(int slot, Value v, Round round) {
   entry = v;
   commit_rounds_[static_cast<std::size_t>(slot)] = round;
   committed_values_.insert(v);
-  ++committed_count_;
   const auto open = find_open(slot);
   if (open != open_.end()) {
     if (open->proposal != kNoOpCommand) {

@@ -208,9 +208,6 @@ class RsmReplica : public RoundAlgorithm {
 
   bool all_slots_committed() const { return prefix_ == options_.num_slots; }
 
-  /// Slots committed at this replica so far (not necessarily a prefix).
-  long committed_count() const { return committed_count_; }
-
   /// Round at which this replica learned slot s (0 if not yet).
   Round commit_round(int slot) const {
     return slot >= 0 && slot < static_cast<int>(commit_rounds_.size())
@@ -282,7 +279,6 @@ class RsmReplica : public RoundAlgorithm {
   std::vector<Retained> retained_;
   int started_hwm_ = 0;  ///< every slot below is started or committed
   int prefix_ = 0;       ///< cached committed_prefix()
-  long committed_count_ = 0;
 
   // Scratch reused across rounds.
   std::vector<int> round_slots_;            ///< on_round's iteration order

@@ -1,5 +1,5 @@
 // Byzantine injection in the live runtime (src/net): round-indexed lies
-// applied by the router and by the socket hub must reach the wire as
+// applied by the router and by the socket fabric must reach the wire as
 // mutated / forged / suppressed copies, the merged trace must carry the
 // declared liars so the unchanged model validator excuses exactly them,
 // and the authenticated target must keep deciding correctly end-to-end
@@ -12,7 +12,7 @@
 
 #include "fuzz/targets.hpp"
 #include "net/runtime.hpp"
-#include "net/socket_transport.hpp"
+#include "net/sharded_runtime.hpp"
 #include "sim/harness.hpp"
 #include "sim/schedule.hpp"
 
@@ -166,6 +166,22 @@ TEST(LiveByzantine, ScriptedReplayOfByzantineSchedulesIsRejected) {
                std::invalid_argument);
 }
 
+/// The authenticated target as one group over n Unix endpoints of the
+/// socket fabric.
+RunResult run_auth_over_sockets(const SystemConfig& cfg,
+                                const LiveOptions& options) {
+  ShardedOptions sharded;
+  sharded.num_nodes = cfg.n;
+  sharded.num_groups = 1;
+  sharded.config = cfg;
+  sharded.live = options;
+  return run_sharded(
+             sharded, [](GroupId) { return target("at2-auth").factory; },
+             [&cfg](GroupId) { return distinct_proposals(cfg.n); })
+      .groups.at(0)
+      .result;
+}
+
 TEST(SocketByzantine, AuthTargetSurvivesTheSameLiesOverTheSocketHub) {
   // Same plan, real sockets: the per-receiver encode path must apply the
   // planner before framing, so mutated and forged copies cross the wire.
@@ -173,11 +189,7 @@ TEST(SocketByzantine, AuthTargetSurvivesTheSameLiesOverTheSocketHub) {
   LiveOptions options;
   options.seed = 8;
   options.byzantine = one_liar_plan();
-  LiveRuntime runtime(cfg, options);
-  runtime.use_socket_transport(SocketAddress::Kind::Unix,
-                               SocketTransportOptions{});
-  const RunResult r =
-      runtime.run(target("at2-auth").factory, distinct_proposals(cfg.n));
+  const RunResult r = run_auth_over_sockets(cfg, options);
   expect_honest_consensus(r, cfg, /*liar=*/3);
   EXPECT_TRUE(r.trace.byzantine().contains(3));
   EXPECT_EQ(r.trace.byzantine_budget(), 1);
@@ -190,11 +202,7 @@ TEST(SocketByzantine, ForgedCopiesSurviveTheWireRoundTrip) {
   LiveOptions options;
   options.seed = 9;
   options.byzantine = one_liar_plan();
-  LiveRuntime runtime(cfg, options);
-  runtime.use_socket_transport(SocketAddress::Kind::Unix,
-                               SocketTransportOptions{});
-  const RunResult r =
-      runtime.run(target("at2-auth").factory, distinct_proposals(cfg.n));
+  const RunResult r = run_auth_over_sockets(cfg, options);
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
   bool saw_forged = false;
   for (const DeliveryRecord& d : r.trace.deliveries()) {

@@ -231,6 +231,8 @@ TEST(Sharded, PipelinedBurstCommitsEveryGroupLog) {
   // The slot_burst knob through the sharded stack: every group runs its
   // whole 4-slot log as one burst over the shared fabric, via the
   // sharded_rsm_factory adaptor, and every merged trace still validates.
+  // Replicas agree on every slot they both committed; every slot committed
+  // within the round cap is owed only when the group's derived GST is 1.
   constexpr int kGroups = 4;
   constexpr int kSlots = 4;
   ShardedOptions options = base_options(kGroups, 4);
@@ -261,17 +263,32 @@ TEST(Sharded, PipelinedBurstCommitsEveryGroupLog) {
   };
   const ShardedResult result =
       run_sharded(options, factory_for, no_proposals);
-  EXPECT_TRUE(result.all_valid());
+  ASSERT_EQ(static_cast<int>(result.groups.size()), kGroups);
   for (const auto& [g, outcome] : result.groups) {
-    const auto* first =
-        dynamic_cast<const RsmReplica*>(outcome.algorithms[0].get());
-    ASSERT_NE(first, nullptr);
-    EXPECT_TRUE(first->all_slots_committed()) << "group " << g;
-    for (ProcessId pid = 1; pid < n; ++pid) {
+    const RunResult& run = outcome.result;
+    const bool after_gst_1 = run.trace.gst() == 1;
+    EXPECT_TRUE(run.validation.ok())
+        << "group " << g << "\n" << run.validation.to_string();
+    if (after_gst_1) {
+      EXPECT_TRUE(run.trace.terminated()) << "group " << g;
+    }
+    std::vector<std::optional<Value>> agreed(kSlots);
+    for (ProcessId pid = 0; pid < n; ++pid) {
       const auto* rep = dynamic_cast<const RsmReplica*>(
           outcome.algorithms[static_cast<std::size_t>(pid)].get());
       ASSERT_NE(rep, nullptr);
-      EXPECT_EQ(first->log(), rep->log()) << "group " << g << " p" << pid;
+      if (after_gst_1) {
+        EXPECT_TRUE(rep->all_slots_committed())
+            << "group " << g << " p" << pid;
+      }
+      for (std::size_t slot = 0; slot < rep->log().size(); ++slot) {
+        const std::optional<Value>& entry = rep->log()[slot];
+        if (!entry) continue;
+        std::optional<Value>& first = agreed.at(slot);
+        if (!first) first = entry;
+        EXPECT_EQ(*first, *entry)
+            << "group " << g << " p" << pid << " slot " << slot;
+      }
     }
   }
 }

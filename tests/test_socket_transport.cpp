@@ -1,8 +1,9 @@
 // The supervised socket transport: backoff math and the reconnect schedule
 // under an injected clock, endpoint-level delivery and redelivery, and full
-// consensus runs over the in-process socket fabric (LiveRuntime's socket
-// transport; the SocketHub test names predate it) — clean and under seeded
-// wire chaos, UDS and TCP — judged by the unchanged model validator.
+// consensus runs over the in-process socket fabric (one group of
+// run_sharded over n nodes; the SocketHub test names predate it) — clean
+// and under seeded wire chaos, UDS and TCP — judged by the unchanged model
+// validator.
 
 #include "net/socket_transport.hpp"
 
@@ -20,7 +21,7 @@
 
 #include "consensus/floodset.hpp"
 #include "fuzz/targets.hpp"
-#include "net/runtime.hpp"
+#include "net/sharded_runtime.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
 
@@ -389,20 +390,26 @@ TEST(SocketFabric, StopDrainsEveryNodeBeforeClosingAny) {
 // Full consensus runs over the in-process fabric
 // ---------------------------------------------------------------------------
 
+/// `target_name` as one group over n endpoints of the fabric.
 RunResult run_over_fabric(SocketAddress::Kind kind,
                           const SocketTransportOptions& socket_options,
-                          SocketCounters* counters_out) {
-  const SystemConfig cfg{.n = 3, .t = 1};
-  const FuzzTarget* target = find_fuzz_target("hr");
+                          SocketCounters* counters_out,
+                          const SystemConfig& cfg = {.n = 3, .t = 1},
+                          const std::string& target_name = "hr") {
+  const FuzzTarget* target = find_fuzz_target(target_name);
   EXPECT_NE(target, nullptr);
-  LiveOptions options;
-  options.max_rounds = 64;
-  LiveRuntime runtime(cfg, options);
-  runtime.use_socket_transport(kind, socket_options);
-  RunResult result =
-      runtime.run(target->factory, distinct_proposals(cfg.n));
-  if (counters_out) *counters_out = runtime.socket_counters();
-  return result;
+  ShardedOptions options;
+  options.num_nodes = cfg.n;
+  options.num_groups = 1;
+  options.config = cfg;
+  options.live.max_rounds = 64;
+  options.kind = kind;
+  options.socket = socket_options;
+  ShardedResult result = run_sharded(
+      options, [target](GroupId) { return target->factory; },
+      [&cfg](GroupId) { return distinct_proposals(cfg.n); });
+  if (counters_out) *counters_out = result.counters;
+  return std::move(result.groups.at(0).result);
 }
 
 TEST(SocketHub, CleanUdsRunSatisfiesTheValidator) {
@@ -606,9 +613,19 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
   const auto start = std::chrono::steady_clock::now();
   for (auto& ep : endpoints) ep->start(start);
   const long expected = static_cast<long>(kBacklog) * (cfg.n - 1);
+  // Stop only once the receivers hold every copy: what is still in flight
+  // at the stop gets only the 250 ms linger, which a loaded host can spend
+  // before a deep backlog drains.
+  const auto delivered = [&endpoints] {
+    long sum = 0;
+    for (std::size_t pid = 1; pid < endpoints.size(); ++pid) {
+      sum += endpoints[pid]->counters().envelopes_delivered;
+    }
+    return sum;
+  };
   const auto deadline = start + std::chrono::seconds{30};
   while (std::chrono::steady_clock::now() < deadline) {
-    if (endpoints[0]->counters().envelopes_sent >= expected) break;
+    if (delivered() >= expected) break;
     std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -694,17 +711,10 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
 }
 
 TEST(SocketHub, At2RunsOverSocketsToo) {
-  const SystemConfig cfg{.n = 4, .t = 1};
-  const FuzzTarget* target = find_fuzz_target("at2");
-  ASSERT_NE(target, nullptr);
-  LiveOptions options;
-  options.max_rounds = 64;
-  LiveRuntime runtime(cfg, options);
   SocketTransportOptions opts;
   opts.seed = 24;
-  runtime.use_socket_transport(SocketAddress::Kind::Unix, opts);
-  const RunResult result =
-      runtime.run(target->factory, distinct_proposals(cfg.n));
+  const RunResult result = run_over_fabric(
+      SocketAddress::Kind::Unix, opts, nullptr, {.n = 4, .t = 1}, "at2");
   EXPECT_TRUE(result.ok()) << result.validation.to_string() << "\n"
                            << result.trace.to_string();
 }
