@@ -130,6 +130,10 @@ LoadedLinkStats measure_loaded_link(int envelopes) {
     addrs.push_back(
         SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
   }
+  const AddressResolver resolve =
+      [&addrs](ProcessId node) -> std::optional<SocketAddress> {
+    return addrs[static_cast<std::size_t>(node)];
+  };
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   std::vector<std::unique_ptr<SocketEndpoint>> endpoints;
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
@@ -137,7 +141,8 @@ LoadedLinkStats measure_loaded_link(int envelopes) {
         std::make_unique<Mailbox>(static_cast<std::size_t>(envelopes) + 64));
     SocketTransportOptions opts;
     opts.seed = 900 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(
+        pid, cfg.n, addrs[static_cast<std::size_t>(pid)], resolve, opts));
     endpoints.back()->add_group(GroupSpec{0, cfg, pid,
                                           group_placement(0, cfg.n, cfg.n),
                                           mailboxes.back().get()});

@@ -1,6 +1,7 @@
 #include "client/campaign.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace indulgence::client {
@@ -47,85 +48,6 @@ CampaignReport finalize(
   report.rounds = rounds;
   report.oracle = check_ingest_oracle(fleet, replicas_by_group);
   return report;
-}
-
-CampaignReport run_live_campaign(const CampaignConfig& config,
-                                 const WorkloadOptions& workload) {
-  ClientFleet fleet(workload, 1, config.config.n);
-  const RsmOptions rsm = derive_rsm(config);
-  const AlgorithmFactory factory = rsm_ingest_factory(
-      config.slot_factory,
-      [&fleet](ProcessId pid) { return fleet.source_for(0, pid); },
-      [&fleet](ProcessId pid) { return fleet.commit_for(0, pid); }, rsm);
-
-  LiveRuntime runtime(config.config, config.live);
-  runtime.set_done_predicate(fleet.done_predicate());
-  runtime.set_start_hook(
-      [&fleet](std::chrono::steady_clock::time_point epoch) {
-        fleet.start(epoch);
-      });
-
-  const RunResult result = runtime.run(
-      factory, std::vector<Value>(static_cast<std::size_t>(config.config.n),
-                                  kNoOpCommand));
-  fleet.finish();
-
-  std::vector<const RsmReplica*> replicas;
-  for (const auto& algorithm : runtime.algorithms()) {
-    replicas.push_back(dynamic_cast<const RsmReplica*>(algorithm.get()));
-  }
-  return finalize(fleet, result.validation.ok(), result.trace.terminated(),
-                  result.trace.rounds_executed(), {replicas});
-}
-
-CampaignReport run_sharded_campaign(const CampaignConfig& config,
-                                    const WorkloadOptions& workload) {
-  ClientFleet fleet(workload, config.num_groups, config.config.n);
-  const RsmOptions rsm = derive_rsm(config);
-
-  ShardedOptions sharded;
-  sharded.num_nodes = config.num_nodes;
-  sharded.num_groups = config.num_groups;
-  sharded.config = config.config;
-  sharded.live = config.live;
-  sharded.kind = config.socket_kind;
-  sharded.socket = config.socket;
-  sharded.done = fleet.done_predicate();
-  sharded.on_start = [&fleet](std::chrono::steady_clock::time_point epoch) {
-    fleet.start(epoch);
-  };
-
-  const auto factory_for = sharded_rsm_ingest_factory(
-      config.slot_factory,
-      [&fleet](GroupId group, ProcessId pid) {
-        return fleet.source_for(group, pid);
-      },
-      [&fleet](GroupId group, ProcessId pid) {
-        return fleet.commit_for(group, pid);
-      },
-      rsm);
-  const auto proposals_for = [&config](GroupId) {
-    return std::vector<Value>(static_cast<std::size_t>(config.config.n),
-                              kNoOpCommand);
-  };
-
-  const ShardedResult result =
-      run_sharded(sharded, factory_for, proposals_for);
-  fleet.finish();
-
-  std::vector<std::vector<const RsmReplica*>> by_group(
-      static_cast<std::size_t>(config.num_groups));
-  bool terminated = true;
-  long rounds = 0;
-  for (const auto& [group, outcome] : result.groups) {
-    auto& replicas = by_group[static_cast<std::size_t>(group)];
-    for (const auto& algorithm : outcome.algorithms) {
-      replicas.push_back(dynamic_cast<const RsmReplica*>(algorithm.get()));
-    }
-    terminated = terminated && outcome.result.trace.terminated();
-    rounds = std::max<long>(rounds, outcome.result.trace.rounds_executed());
-  }
-  return finalize(fleet, result.all_valid(), terminated, rounds, by_group);
 }
 
 }  // namespace
@@ -214,10 +136,62 @@ CampaignReport run_campaign(const CampaignConfig& config,
   if (!config.slot_factory) {
     throw std::invalid_argument("run_campaign: slot_factory is required");
   }
-  if (config.target == CampaignTarget::Sharded) {
-    return run_sharded_campaign(config, workload);
+  const bool sharded = config.target == CampaignTarget::Sharded;
+  const int num_groups = sharded ? config.num_groups : 1;
+  ClientFleet fleet(workload, num_groups, config.config.n);
+  const auto factory_for = sharded_rsm_ingest_factory(
+      config.slot_factory,
+      [&fleet](GroupId group, ProcessId pid) {
+        return fleet.source_for(group, pid);
+      },
+      [&fleet](GroupId group, ProcessId pid) {
+        return fleet.commit_for(group, pid);
+      },
+      derive_rsm(config));
+  const auto start = [&fleet](std::chrono::steady_clock::time_point epoch) {
+    fleet.start(epoch);
+  };
+  const std::vector<Value> noops(static_cast<std::size_t>(config.config.n),
+                                 kNoOpCommand);
+
+  // The in-process runtime owns its replicas, so it lives as long as the
+  // loop below reads them; its one group's trace is result.groups[0].
+  std::optional<LiveRuntime> runtime;
+  ShardedResult result;
+  if (sharded) {
+    ShardedOptions options;
+    options.num_nodes = config.num_nodes;
+    options.num_groups = num_groups;
+    options.config = config.config;
+    options.live = config.live;
+    options.kind = config.socket_kind;
+    options.socket = config.socket;
+    options.done = fleet.done_predicate();
+    options.on_start = start;
+    result = run_sharded(options, factory_for,
+                         [&noops](GroupId) { return noops; });
+  } else {
+    runtime.emplace(config.config, config.live);
+    runtime->set_done_predicate(fleet.done_predicate());
+    runtime->set_start_hook(start);
+    result.groups[0].result = runtime->run(factory_for(0), noops);
   }
-  return run_live_campaign(config, workload);
+
+  std::vector<std::vector<const RsmReplica*>> by_group;
+  bool valid = true;
+  bool terminated = true;
+  long rounds = 0;
+  for (const auto& [group, outcome] : result.groups) {
+    auto& replicas = by_group.emplace_back();
+    for (const auto& algorithm :
+         runtime ? runtime->algorithms() : outcome.algorithms) {
+      replicas.push_back(dynamic_cast<const RsmReplica*>(algorithm.get()));
+    }
+    valid = valid && outcome.result.validation.ok();
+    terminated = terminated && outcome.result.trace.terminated();
+    rounds = std::max<long>(rounds, outcome.result.trace.rounds_executed());
+  }
+  return finalize(fleet, valid, terminated, rounds, by_group);
 }
 
 }  // namespace indulgence::client

@@ -5,6 +5,11 @@
 // successful or not — still merges the process logs and re-checks them with
 // the unchanged Validator, exactly like the fixed-queue benches.
 //
+// Both targets take one path: one fleet with a home queue per (group,
+// replica), one sharded_rsm_ingest_factory (the in-process target runs its
+// group 0), the runtime, then one pass over every group's replicas and
+// merged trace.  An in-process run is one group.
+//
 // On top of trace validation sits the end-to-end linearizable-ingest
 // oracle: the committed logs, read back across replicas, must be exactly
 // the set of acknowledged client commands — no loss (every acked command
@@ -65,7 +70,7 @@ struct CampaignReport {
   FleetCounters counts;
   LatencyHistogram latency;         ///< client-to-commit, measure window
   LatencyHistogram warmup_latency;  ///< warmup window
-  std::vector<long> samples;        ///< acks per sample_period bin
+  std::vector<long> samples;        ///< acks per 250 ms bin
   double measured_seconds = 0;      ///< measure-window span
   double offered_seconds = 0;       ///< arrival span (incl. shed)
   double commands_per_sec = 0;      ///< measured acks / measured span

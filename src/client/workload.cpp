@@ -9,6 +9,9 @@ namespace indulgence::client {
 
 namespace {
 
+/// Width of one throughput-sample bin.
+constexpr std::chrono::microseconds kSamplePeriod{250'000};
+
 void cas_min(std::atomic<std::uint64_t>& a, std::uint64_t v) {
   std::uint64_t cur = a.load(std::memory_order_relaxed);
   while (v < cur &&
@@ -45,9 +48,6 @@ ClientFleet::ClientFleet(const WorkloadOptions& options, int num_groups,
       (options_.pending_window < 1 || !(options_.target_rate_per_sec > 0))) {
     throw std::invalid_argument("ClientFleet: bad open-loop options");
   }
-  if (options_.sample_period.count() <= 0) {
-    throw std::invalid_argument("ClientFleet: bad sample_period");
-  }
   ack_target_ = options_.warmup_commands + options_.measure_commands;
 
   queues_.resize(static_cast<std::size_t>(num_groups_) *
@@ -62,10 +62,9 @@ ClientFleet::ClientFleet(const WorkloadOptions& options, int num_groups,
     if (options_.mode != LoopMode::Closed) {
       ArrivalOptions ao;
       if (options_.mode == LoopMode::OpenBursty) {
+        // ON and OFF windows keep ArrivalOptions' defaults; the ON rate is
+        // scaled so the long-run mean meets the target.
         ao.kind = ArrivalKind::Bursty;
-        ao.on_period = options_.burst_on;
-        ao.off_period = options_.burst_off;
-        // The ON rate is scaled so the long-run mean meets the target.
         const double on = static_cast<double>(ao.on_period.count());
         const double off = static_cast<double>(ao.off_period.count());
         ao.rate_per_sec = per_client * (on + off) / on;
@@ -80,7 +79,7 @@ ClientFleet::ClientFleet(const WorkloadOptions& options, int num_groups,
   }
 
   const auto nbins = static_cast<std::size_t>(
-      options_.deadline.count() / options_.sample_period.count() + 2);
+      options_.deadline.count() / kSamplePeriod.count() + 2);
   bins_ = std::vector<std::atomic<long>>(nbins);
   for (auto& b : bins_) b.store(0, std::memory_order_relaxed);
 }
@@ -257,7 +256,7 @@ void ClientFleet::on_commit(Value value) {
       const auto bin = std::min(
           static_cast<std::size_t>(
               now / static_cast<std::uint64_t>(
-                        options_.sample_period.count())),
+                        kSamplePeriod.count())),
           bins_.size() - 1);
       bins_[bin].fetch_add(1, std::memory_order_relaxed);
       // A closed-loop client's replacement goes out here, on the committing

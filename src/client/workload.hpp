@@ -18,6 +18,7 @@
 //   * OpenPoisson / OpenBursty — arrivals follow a deterministic seeded
 //     ArrivalProcess regardless of acks (the latency-under-offered-load
 //     probe); the client thread wakes only at its next arrival instant.
+//     Bursty arrivals alternate ArrivalOptions' 20 ms ON and OFF windows.
 //     Backpressure is explicit: when a client's pending window is full,
 //     the arrival is SHED and counted, never queued — an open-loop client
 //     must not silently turn into a closed-loop one.
@@ -32,6 +33,8 @@
 //
 // After the run, check_ingest_oracle (campaign.hpp) re-derives the ledger
 // from the committed logs themselves and cross-checks this accounting.
+// Throughput samples count acks per 250 ms bin, a constant of
+// workload.cpp.
 
 #pragma once
 
@@ -65,8 +68,6 @@ struct WorkloadOptions {
   // Open loop --------------------------------------------------------------
   double target_rate_per_sec = 2000.0;  ///< aggregate offered rate
   int pending_window = 256;  ///< per-client in-flight cap before shedding
-  std::chrono::microseconds burst_on{20'000};   ///< OpenBursty ON window
-  std::chrono::microseconds burst_off{20'000};  ///< OpenBursty OFF window
 
   // Campaign controller ----------------------------------------------------
   long warmup_commands = 0;       ///< acks before the measure window opens
@@ -78,7 +79,6 @@ struct WorkloadOptions {
   /// the ack target was not reached, so every campaign shuts down through
   /// the armed-stop path and still merges + validates its trace.
   std::chrono::microseconds deadline{60'000'000};
-  std::chrono::microseconds sample_period{250'000};  ///< throughput bins
 
   std::uint64_t seed = 1;
 };
@@ -212,7 +212,7 @@ class ClientFleet {
   FleetCounters counters() const;
   LatencyHistogram merged_measure_histogram() const;
   LatencyHistogram merged_warmup_histogram() const;
-  /// Acks per sample_period bin, trimmed to the last non-empty bin.
+  /// Acks per 250 ms bin, trimmed to the last non-empty bin.
   std::vector<long> throughput_samples() const;
   /// Span of the measure window (first to last measured ack), seconds.
   double measured_span_seconds() const;

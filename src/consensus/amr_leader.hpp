@@ -72,7 +72,6 @@ class AmrLeader : public ConsensusBase {
   std::string name() const override { return "AMR[leader]"; }
 
   Value estimate() const { return est_; }
-  ProcessId current_leader() const { return leader_.leader(); }
 
  protected:
   void on_propose(Value v) override { est_ = v; }

@@ -20,6 +20,13 @@ RunSchedule record_adversary(const SystemConfig& config, Adversary& adversary,
 
 namespace {
 
+/// GST is drawn uniformly from [1, kMaxGst] (ES runs only).
+constexpr Round kMaxGst = 6;
+/// The adversary stays active for gst + [0, kExtraRounds] rounds (SCS:
+/// t + 2 + [0, kExtraRounds]); later rounds are failure-free and
+/// synchronous.
+constexpr Round kExtraRounds = 3;
+
 /// One lie value: mostly hostile constants (negative values attack the
 /// min-based crash algorithms; kBottom-adjacent ones probe the filters),
 /// sometimes an honest-looking proposal.
@@ -135,14 +142,14 @@ RunSchedule random_run_schedule(const SystemConfig& config, Model model,
     // Crashes only matter while the algorithms are still exchanging state:
     // t + 2 rounds covers every SCS algorithm in the repository.
     const Round horizon =
-        config.t + 2 + rng.next_int(0, options.extra_rounds);
+        config.t + 2 + rng.next_int(0, kExtraRounds);
     RunSchedule schedule = record_adversary(config, adversary, horizon);
     append_byzantine(config, rng, options, schedule);
     return schedule;
   }
 
   RandomEsOptions es;
-  es.gst = 1 + rng.next_int(0, options.max_gst - 1);
+  es.gst = 1 + rng.next_int(0, kMaxGst - 1);
   es.crash_prob = 0.1 + 0.5 * rng.next_double();
   es.before_send_prob = rng.next_double();
   es.laggard_prob = 0.3 + 0.6 * rng.next_double();
@@ -152,7 +159,7 @@ RunSchedule random_run_schedule(const SystemConfig& config, Model model,
   es.allow_crash_delay = rng.chance(1, 2);
   es.max_crashes = max_crashes;
   RandomEsAdversary adversary(config, es, rng.next_u64());
-  const Round horizon = es.gst + rng.next_int(0, options.extra_rounds);
+  const Round horizon = es.gst + rng.next_int(0, kExtraRounds);
   RunSchedule schedule = record_adversary(config, adversary, horizon);
   append_byzantine(config, rng, options, schedule);
   return schedule;

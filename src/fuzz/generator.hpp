@@ -10,6 +10,10 @@
 // Randomness discipline: one Rng per run, derived by the caller via
 // Rng::for_stream(seed, run_index), so a campaign examines the same
 // schedules at any job count and any single run replays in isolation.
+//
+// The draw's ranges are constants of generator.cpp: an ES GST in [1, 6],
+// and an adversary active for up to 3 rounds past its GST (past t + 2 in
+// SCS).  The liar budget is the one settable value.
 
 #pragma once
 
@@ -20,13 +24,6 @@
 namespace indulgence {
 
 struct FuzzGenOptions {
-  /// GST is drawn uniformly from [1, max_gst] (ES runs only).
-  Round max_gst = 6;
-
-  /// The adversary stays active for gst + [0, extra_rounds] rounds; later
-  /// rounds are failure-free and synchronous.
-  Round extra_rounds = 3;
-
   /// Byzantine liar budget b (0 = crash-only, the historical draw stream).
   /// With b > 0 the crash budget shrinks to t - b (crashes + liars <= t,
   /// the A_{t+2}^auth guarantee), b non-crashed liars are drawn, and lie

@@ -300,7 +300,7 @@ LiveRunPlan live_socket_run_plan(const FuzzTarget& target, SystemConfig config,
   plan.lossy = false;  // the supervisor holds copies; it never drops them
   plan.proposals = random_proposals(config, rng);
   plan.options = random_socket_live_options(config, rng, gen);
-  plan.chaos = random_wire_chaos(rng, gen);
+  plan.chaos = random_wire_chaos(rng);
   return plan;
 }
 

@@ -33,12 +33,10 @@ class ValencyAnalyzer {
                   Round extension_rounds, Round max_rounds = 64);
 
   /// Decision values reachable by serial synchronous extensions of
-  /// `prefix` under the given proposals.  Empty set means some extension
-  /// failed to terminate (reported via last_all_terminated()).
+  /// `prefix` under the given proposals.  Extensions that fail to
+  /// terminate contribute no value; profile() reports them.
   std::set<Value> valency(const std::vector<Value>& proposals,
                           const std::vector<AdversaryAction>& prefix);
-
-  bool last_all_terminated() const { return last_all_terminated_; }
 
   struct Profile {
     std::vector<long> prefixes_checked;   ///< index = prefix length

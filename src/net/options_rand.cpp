@@ -6,6 +6,20 @@ namespace indulgence {
 
 namespace {
 
+/// Valid draws: upper bound on the wall-clock GST offset (µs), and on the
+/// socket draws' chaos window.
+constexpr long kMaxGstUs = 2000;
+/// Valid draws: partitions per run are uniform in [0, kMaxPartitions] (0
+/// when n < 3 — a 2-process cut would silence a quorum forever).
+constexpr int kMaxPartitions = 2;
+/// Valid draws: crash rounds, and synchronizer corruption rounds, are
+/// uniform in [1, kMaxCrashRound].
+constexpr Round kMaxCrashRound = 4;
+/// Lossy draws: rounds close below quorum after a cap drawn from
+/// [kMinRoundCapUs, kMaxRoundCapUs].
+constexpr long kMinRoundCapUs = 2000;
+constexpr long kMaxRoundCapUs = 8000;
+
 std::chrono::microseconds us(long n) { return std::chrono::microseconds{n}; }
 
 std::chrono::microseconds draw_us(Rng& rng, long lo, long hi) {
@@ -34,7 +48,7 @@ void draw_sync_corruptions(LiveOptions& o, const SystemConfig& config,
     c.pid = static_cast<ProcessId>(
         rng.next_below(static_cast<std::uint64_t>(config.n)));
     c.round = 1 + static_cast<Round>(rng.next_below(
-                      static_cast<std::uint64_t>(gen.max_crash_round)));
+                      static_cast<std::uint64_t>(kMaxCrashRound)));
     c.bits = 1 + rng.next_below(7);  // any nonempty subset of bits 0..2
     o.sync_corruptions.push_back(c);
   }
@@ -47,7 +61,7 @@ LiveOptions random_valid_live_options(const SystemConfig& config, Rng& rng,
   LiveOptions o;
   // A third of the runs are synchronous from the first instant (gst = 0);
   // the rest get an asynchronous wall-clock prefix.
-  o.gst = rng.chance(1, 3) ? us(0) : draw_us(rng, 1, gen.max_gst_us);
+  o.gst = rng.chance(1, 3) ? us(0) : draw_us(rng, 1, kMaxGstUs);
   o.pre_gst.floor = draw_us(rng, 0, 200);
   o.pre_gst.jitter = draw_us(rng, 0, 800);
   o.post_gst.floor = draw_us(rng, 10, 60);
@@ -59,10 +73,10 @@ LiveOptions random_valid_live_options(const SystemConfig& config, Rng& rng,
   o.seed = rng.next_u64();
 
   const int partitions =
-      config.n >= 3 ? rng.next_int(0, gen.max_partitions) : 0;
+      config.n >= 3 ? rng.next_int(0, kMaxPartitions) : 0;
   for (int i = 0; i < partitions; ++i) {
     PartitionSpec p;
-    p.from = draw_us(rng, 0, std::max<long>(gen.max_gst_us - 500, 1));
+    p.from = draw_us(rng, 0, std::max<long>(kMaxGstUs - 500, 1));
     p.until = p.from + draw_us(rng, 200, 2000);
     p.group = draw_group(config, rng);
     o.partitions.push_back(p);
@@ -80,7 +94,7 @@ LiveOptions random_valid_live_options(const SystemConfig& config, Rng& rng,
         CrashInjection{pids[static_cast<std::size_t>(i)],
                        1 + static_cast<Round>(
                                rng.next_below(static_cast<std::uint64_t>(
-                                   gen.max_crash_round))),
+                                   kMaxCrashRound))),
                        rng.chance(1, 2)});
   }
   draw_sync_corruptions(o, config, rng, gen);
@@ -94,10 +108,10 @@ LiveOptions random_socket_live_options(const SystemConfig& config, Rng& rng,
   return o;
 }
 
-WireChaosOptions random_wire_chaos(Rng& rng, const LiveGenOptions& gen) {
+WireChaosOptions random_wire_chaos(Rng& rng) {
   WireChaosOptions chaos;
   chaos.seed = rng.next_u64();
-  chaos.until = draw_us(rng, 0, gen.max_gst_us);
+  chaos.until = draw_us(rng, 0, kMaxGstUs);
   chaos.connect_fail_prob = 0.4 * rng.next_double();
   chaos.accept_close_prob = 0.3 * rng.next_double();
   chaos.reset_prob = 0.25 * rng.next_double();
@@ -115,7 +129,7 @@ LiveOptions random_lossy_live_options(const SystemConfig& config, Rng& rng,
   o.loss_prob = 0.75 + 0.25 * rng.next_double();
   o.pre_gst.floor = draw_us(rng, 0, 100);
   o.pre_gst.jitter = draw_us(rng, 0, 200);
-  o.round_cap = draw_us(rng, gen.min_round_cap_us, gen.max_round_cap_us);
+  o.round_cap = draw_us(rng, kMinRoundCapUs, kMaxRoundCapUs);
   o.max_rounds = 2 + static_cast<Round>(rng.next_below(3));
   // The final expedited round's surviving copies land in microseconds; the
   // copies loss already ate will never come, so a long drain buys nothing.

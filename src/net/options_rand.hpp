@@ -17,7 +17,11 @@
 // Both draws consume a caller-provided Rng only (Rng::for_stream per run
 // index in the campaign), so a drawn option set is reproducible from
 // (seed, run index) alone — including options.seed, which governs the
-// router's own latency/loss stream.
+// router's own latency/loss stream.  The draws' ranges are constants of
+// options_rand.cpp: a wall-clock GST offset of at most 2 ms (the chaos
+// window's bound too), up to 2 partitions, crash rounds in [1, 4], and a
+// lossy round cap in [2, 8] ms.  The synchronizer is the one settable
+// value.
 
 #pragma once
 
@@ -34,17 +38,6 @@ struct LiveGenOptions {
   /// corruptions (appended after all other draws, so lockstep streams are
   /// unchanged for existing seeds).
   SyncKind synchronizer = SyncKind::Lockstep;
-  /// Valid draws: upper bound on the wall-clock GST offset (µs).
-  long max_gst_us = 2000;
-  /// Valid draws: partitions drawn per run is uniform in [0, max_partitions]
-  /// (0 when n < 3 — a 2-process cut would silence a quorum forever).
-  int max_partitions = 2;
-  /// Valid draws: crash rounds are uniform in [1, max_crash_round].
-  Round max_crash_round = 4;
-  /// Lossy draws: per-round cap bounds (µs); rounds close below quorum
-  /// after [min_round_cap_us, max_round_cap_us].
-  long min_round_cap_us = 2000;
-  long max_round_cap_us = 8000;
 };
 
 /// A model-valid LiveOptions draw (see file comment).  max_rounds is 64 and
@@ -67,11 +60,11 @@ LiveOptions random_socket_live_options(const SystemConfig& config, Rng& rng,
                                        const LiveGenOptions& gen = {});
 
 /// A seeded wire-chaos draw, the socket campaign's pre-GST adversary: a
-/// wall-clock window of up to max_gst_us during which connects abort,
-/// accepted connections close, writes become resets, stalls, or
-/// byte-at-a-time dribbles.  A window of 0 (about 1 draw in max_gst_us) is
-/// a clean run.  The supervisor must absorb all of it: the merged trace
-/// still has to satisfy the unchanged validator.
-WireChaosOptions random_wire_chaos(Rng& rng, const LiveGenOptions& gen = {});
+/// wall-clock window of up to 2 ms during which connects abort, accepted
+/// connections close, writes become resets, stalls, or byte-at-a-time
+/// dribbles.  A window of 0 (about 1 draw in 2,000) is a clean run.  The
+/// supervisor must absorb all of it: the merged trace still has to
+/// satisfy the unchanged validator.
+WireChaosOptions random_wire_chaos(Rng& rng);
 
 }  // namespace indulgence

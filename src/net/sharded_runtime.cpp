@@ -109,7 +109,6 @@ ShardedResult run_sharded(const ShardedOptions& options,
     runner.add_group(g,
                      DriverContext{.config = config,
                                    .options = &options.live,
-                                   .fixed_rounds = options.fixed_rounds,
                                    .factory = factory_for(g),
                                    .done = options.done,
                                    .observer = options.observer,

@@ -27,8 +27,10 @@
 //     n nodes is the single-group socket run (identity placement).
 //   * ShardedNode: one OS process per node for the multi-process demo —
 //     hosts its share of replicas, runs them for an agreed fixed round
-//     count, and ships one ShippedLog per hosted group; the launcher
-//     merges with ship_and_merge_groups().
+//     count (the one mode with a fixed round count: the armed stop cannot
+//     span address spaces), and ships one ShippedLog per hosted group,
+//     the first carrying its endpoint's counters; the launcher merges
+//     with ship_and_merge_groups().
 
 #pragma once
 
@@ -67,9 +69,6 @@ struct ShardedOptions {
   DonePredicate done;         ///< per replica; null = "has decided"
   /// Per-round probe of every replica (group-local pid); may be null.
   RoundObserver observer;
-  /// > 0: every replica runs exactly rounds 1..fixed_rounds (the
-  /// multi-process discipline); 0 = per-group armed-stop shutdown.
-  Round fixed_rounds = 0;
   /// Called once with the run epoch after every endpoint is up and before
   /// the driver threads start — the sharded mirror of
   /// LiveRuntime::set_start_hook (client fleets launch here).
@@ -145,9 +144,6 @@ class ShardedNode {
   GroupId hosted_group(std::size_t index) const {
     return hosted_[index].group;
   }
-
-  SocketCounters counters() const { return endpoint_->counters(); }
-  SocketEndpoint& endpoint() { return *endpoint_; }
 
  private:
   struct Hosted {

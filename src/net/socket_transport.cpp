@@ -40,36 +40,15 @@ int poll_one(int fd, short events, std::chrono::microseconds timeout) {
   }
 }
 
-/// Writes the whole buffer, polling for writability up to `timeout` per
-/// stall.  Returns false on error or timeout (connection considered dead).
-bool write_all(int fd, const std::uint8_t* data, std::size_t len,
-               std::chrono::microseconds timeout) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int ev = poll_one(fd, POLLOUT, timeout);
-      if (ev <= 0 || (ev & (POLLERR | POLLHUP))) return false;
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 /// How many frames one coalesced flush gathers per syscall.  Well under
 /// IOV_MAX everywhere, and small enough that one batch cannot hog the
 /// link mutex while it is gathered.
 constexpr std::size_t kFlushBatchFrames = 256;
 
 constexpr std::chrono::microseconds kConnectTimeout{200'000};
-/// Charged per stall on the clean paths, and once per whole frame when a
-/// chaos short write dribbles it.
+/// Charged per stall on the coalesced flush, and once per whole frame on
+/// every other write: HELLO2, heartbeats, acks and a chaos short write's
+/// dribble.
 constexpr std::chrono::microseconds kSendTimeout{200'000};
 /// How long a drain keeps the supervisors flushing for final acks, so
 /// copies that were delivered do not linger as pending records.
@@ -78,7 +57,7 @@ constexpr std::chrono::microseconds kLinger{250'000};
 /// sender (blocks) rather than dropping — ES channels are reliable.
 constexpr std::size_t kHoldQueueCapacity = 1 << 15;
 
-/// Gathered-write counterpart of write_all: ships `count` iovecs with as
+/// Gathered-write counterpart of write_all_until: ships `count` iovecs with as
 /// few syscalls as the kernel allows, polling POLLOUT up to `timeout` per
 /// stall.  Uses sendmsg (writev semantics) so MSG_NOSIGNAL still applies.
 /// `syscalls` counts every send attempt; `written` reports bytes shipped
@@ -242,22 +221,9 @@ bool write_all_until(int fd, const std::uint8_t* data, std::size_t len,
 }
 
 SocketCounters& SocketCounters::operator+=(const SocketCounters& o) {
-  connect_attempts += o.connect_attempts;
-  connect_failures += o.connect_failures;
-  reconnects += o.reconnects;
-  envelopes_sent += o.envelopes_sent;
-  envelopes_resent += o.envelopes_resent;
-  envelopes_delivered += o.envelopes_delivered;
-  duplicates_dropped += o.duplicates_dropped;
-  heartbeats_sent += o.heartbeats_sent;
-  peer_timeouts += o.peer_timeouts;
-  injected_resets += o.injected_resets;
-  injected_stalls += o.injected_stalls;
-  injected_short_writes += o.injected_short_writes;
-  injected_connect_failures += o.injected_connect_failures;
-  injected_accept_closes += o.injected_accept_closes;
-  demux_drops += o.demux_drops;
-  flush_syscalls += o.flush_syscalls;
+  for (long SocketCounters::*field : kSocketCounterFields) {
+    this->*field += o.*field;
+  }
   return *this;
 }
 
@@ -318,7 +284,8 @@ struct SocketEndpoint::Link {
   std::vector<HoldItem*> batch_scratch;
 };
 
-/// One accepted inbound connection and its reader thread.
+/// One accepted inbound connection and its reader thread.  The reader
+/// closes `fd` and sets it to -1, under inbound_mutex_, as it exits.
 struct SocketEndpoint::Inbound {
   int fd = -1;
   std::thread thread;
@@ -333,21 +300,6 @@ struct SocketEndpoint::GroupState {
   SocketCounters counters;  ///< guarded by counters_mutex_
 };
 
-SocketEndpoint::SocketEndpoint(int node, std::vector<SocketAddress> nodes,
-                               SocketTransportOptions options)
-    : node_(node),
-      num_nodes_(static_cast<int>(nodes.size())),
-      options_(std::move(options)),
-      listen_address_(nodes.at(static_cast<std::size_t>(node))),
-      delivered_seq_(nodes.size(), 0) {
-  auto table =
-      std::make_shared<std::vector<SocketAddress>>(std::move(nodes));
-  resolver_ = [table](ProcessId pid) -> std::optional<SocketAddress> {
-    return table->at(static_cast<std::size_t>(pid));
-  };
-  init_listener_and_links();
-}
-
 SocketEndpoint::SocketEndpoint(
     int node, int num_nodes, SocketAddress listen, AddressResolver resolver,
     SocketTransportOptions options,
@@ -359,10 +311,6 @@ SocketEndpoint::SocketEndpoint(
       resolver_(std::move(resolver)),
       listen_address_(std::move(listen)),
       delivered_seq_(static_cast<std::size_t>(num_nodes), 0) {
-  init_listener_and_links();
-}
-
-void SocketEndpoint::init_listener_and_links() {
   if (node_ < 0 || node_ >= num_nodes_ || num_nodes_ < 2) {
     throw std::invalid_argument("socket endpoint: bad node id / node count");
   }
@@ -617,7 +565,8 @@ bool SocketEndpoint::connect_link(Link* link, Clock::time_point now) {
   }
   const std::vector<std::uint8_t> hello =
       encode_hello2(node_, hosted_group_ids_);
-  if (!write_all(fd, hello.data(), hello.size(), kSendTimeout)) {
+  if (!write_all_until(fd, hello.data(), hello.size(),
+                       Clock::now() + kSendTimeout)) {
     ::close(fd);
     return fail(false);
   }
@@ -860,7 +809,8 @@ void SocketEndpoint::supervisor_loop(Link* link) {
       }
       case KeepaliveAction::Heartbeat: {
         static const std::vector<std::uint8_t> hb = encode_heartbeat();
-        if (!write_all(link->fd, hb.data(), hb.size(), kSendTimeout)) {
+        if (!write_all_until(link->fd, hb.data(), hb.size(),
+                             Clock::now() + kSendTimeout)) {
           drop_connection(link);
           continue;
         }
@@ -906,10 +856,19 @@ void SocketEndpoint::accept_loop() {
     auto conn = std::make_unique<Inbound>();
     conn->fd = fd;
     Inbound* raw = conn.get();
+    // Readers whose connection ended (fd -1) leave the list here, and are
+    // joined with no lock held, so a reconnect storm holds one descriptor
+    // and one thread per live connection, not per connection ever accepted.
+    std::vector<std::unique_ptr<Inbound>> ended;
     {
       std::lock_guard<std::mutex> lock(inbound_mutex_);
+      for (auto& reader : inbound_) {
+        if (reader->fd < 0) ended.push_back(std::move(reader));
+      }
+      std::erase(inbound_, nullptr);
       inbound_.push_back(std::move(conn));
     }
+    for (auto& reader : ended) reader->thread.join();
     raw->thread = std::thread([this, raw] { reader_loop(raw); });
   }
 }
@@ -1021,19 +980,25 @@ void SocketEndpoint::reader_loop(Inbound* conn) {
     if (want_ack && !broken) {
       ack_writer.clear();
       encode_ack_into(ack_cumulative, ack_writer);
-      if (!write_all(conn->fd, ack_writer.data(), ack_writer.size(),
-                     kSendTimeout)) {
+      if (!write_all_until(conn->fd, ack_writer.data(), ack_writer.size(),
+                           Clock::now() + kSendTimeout)) {
         broken = true;
       }
     }
     if (broken || parser.poisoned()) break;
   }
-  ::shutdown(conn->fd, SHUT_RDWR);
+  // Under the lock, so close_all_inbound never shuts a descriptor number
+  // that a new connection has reused.
+  std::lock_guard<std::mutex> lock(inbound_mutex_);
+  ::close(conn->fd);
+  conn->fd = -1;
 }
 
 void SocketEndpoint::close_all_inbound() {
   std::lock_guard<std::mutex> lock(inbound_mutex_);
-  for (auto& conn : inbound_) ::shutdown(conn->fd, SHUT_RDWR);
+  for (auto& conn : inbound_) {
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+  }
 }
 
 void SocketEndpoint::drain() {
@@ -1062,7 +1027,7 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
     if (accept_thread_.joinable()) accept_thread_.join();
     // Join the readers with no lock held, so a reader can never wait on a
     // lock its joiner holds.  With the acceptor joined, no reader is added
-    // behind our back.
+    // behind our back; each reader closes its own descriptor as it exits.
     std::vector<std::unique_ptr<Inbound>> readers;
     {
       std::lock_guard<std::mutex> lock(inbound_mutex_);
@@ -1070,7 +1035,6 @@ std::vector<UndeliveredCopy> SocketEndpoint::stop_and_flush() {
     }
     for (auto& conn : readers) {
       if (conn->thread.joinable()) conn->thread.join();
-      ::close(conn->fd);
     }
   }
   if (listen_fd_ >= 0) {

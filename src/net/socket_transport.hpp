@@ -28,6 +28,13 @@
 //     group's slow consumer can head-of-line block another group: mailbox
 //     pushes go to per-group channels sized for the whole run.
 //
+// Every endpoint is built one way: its node id, the node count, its own
+// listen address, and a resolver naming each peer's address per connect
+// attempt.  Each accepted connection gets a reader thread that closes its
+// descriptor as it exits, and the acceptor joins ended readers before it
+// adds the next connection, so a reconnect storm costs descriptors and
+// threads per live connection, never per connection accepted.
+//
 // Reconnects use exponential backoff with decorrelated jitter
 // (next_backoff below — a pure function of (policy, previous, rng), so the
 // schedule is unit-testable without sleeping).  Indulgence is the design
@@ -115,8 +122,10 @@ std::chrono::microseconds next_backoff(const BackoffPolicy& policy,
 /// Deadline-budgeted blocking write: the WHOLE buffer is charged against
 /// one absolute deadline, however many short writes and POLLOUT waits it
 /// takes.  This is the chaos dribble path's budget fix — a frame written
-/// byte-at-a-time must cost at most one send-timeout, not one per byte.
-/// Returns false on error or when the deadline passes first.
+/// byte-at-a-time must cost at most one send-timeout, not one per byte —
+/// and the endpoint's one blocking write: HELLO2, heartbeats and acks go
+/// through it too.  Returns false on error or when the deadline passes
+/// first.
 bool write_all_until(int fd, const std::uint8_t* data, std::size_t len,
                      std::chrono::steady_clock::time_point deadline);
 
@@ -245,7 +254,9 @@ inline KeepaliveAction keepalive_action(
 /// a reconnect storm on one peer link is never charged to a group that
 /// does not route over it, and the endpoint-wide figure is their sum.  The
 /// X5/X6 benches and the multi-process demos report these, and the shipped
-/// log format persists them.
+/// log format persists them.  Every field is listed once more, in
+/// kSocketCounterFields below; the sum and the shipped-log codec walk that
+/// list.
 struct SocketCounters {
   long connect_attempts = 0;
   long connect_failures = 0;   ///< includes injected ones
@@ -278,6 +289,30 @@ struct SocketCounters {
   }
 };
 
+/// Every SocketCounters field, in shipped-log order (net/trace_ship).
+inline constexpr long SocketCounters::*kSocketCounterFields[] = {
+    &SocketCounters::connect_attempts,
+    &SocketCounters::connect_failures,
+    &SocketCounters::reconnects,
+    &SocketCounters::envelopes_sent,
+    &SocketCounters::envelopes_resent,
+    &SocketCounters::envelopes_delivered,
+    &SocketCounters::duplicates_dropped,
+    &SocketCounters::heartbeats_sent,
+    &SocketCounters::peer_timeouts,
+    &SocketCounters::injected_resets,
+    &SocketCounters::injected_stalls,
+    &SocketCounters::injected_short_writes,
+    &SocketCounters::injected_connect_failures,
+    &SocketCounters::injected_accept_closes,
+    &SocketCounters::demux_drops,
+    &SocketCounters::flush_syscalls,
+};
+static_assert(sizeof(kSocketCounterFields) / sizeof(kSocketCounterFields[0]) *
+                      sizeof(long) ==
+                  sizeof(SocketCounters),
+              "kSocketCounterFields must list every SocketCounters field");
+
 /// Resolves a peer's address at connect time.  Multi-process TCP runs use
 /// this to read port files that only exist once the peer has bound;
 /// returning nullopt counts as a failed attempt (backoff applies).
@@ -304,19 +339,15 @@ class SocketEndpoint final {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// `node` is this process' slot in the fabric's node address table;
-  /// `nodes[node]` may carry port 0 — the bound address is
-  /// listen_address().  Binds the listener here, before any start(), so a
-  /// set of endpoints created first and started later always reach each
-  /// other.  Register hosted groups with add_group() before start().
-  SocketEndpoint(int node, std::vector<SocketAddress> nodes,
-                 SocketTransportOptions options);
-
-  /// Resolver flavour (multi-process fabrics): only the own listen address
-  /// is known up front; peers are resolved per connect attempt.
+  /// `node` is this process' slot among `num_nodes`; `listen` may carry
+  /// port 0 — the bound address is listen_address().  Binds the listener
+  /// here, before any start(), so a set of endpoints created first and
+  /// started later always reach each other.  Peers are resolved per
+  /// connect attempt, so a peer may bind after this endpoint starts.
   /// `byzantine` is the run's LiveOptions::byzantine plan, applied to the
   /// liars' outgoing copies at dispatch, before encoding: mutated and
   /// forged copies are encoded per receiver, honest traffic once.
+  /// Register hosted groups with add_group() before start().
   SocketEndpoint(int node, int num_nodes, SocketAddress listen,
                  AddressResolver resolver, SocketTransportOptions options,
                  const std::vector<ByzantineInjection>& byzantine = {});
@@ -331,8 +362,6 @@ class SocketEndpoint final {
 
   /// The address the listener actually bound (TCP port resolved).
   const SocketAddress& listen_address() const { return listen_address_; }
-
-  int node() const { return node_; }
 
   // --- lifecycle ------------------------------------------------------------
 
@@ -380,7 +409,6 @@ class SocketEndpoint final {
   struct Inbound;
   struct GroupState;
 
-  void init_listener_and_links();
   GroupState* find_group(GroupId group) const;
   Link* link_for_node(int node) const;
   void accept_loop();

@@ -13,43 +13,21 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x314c5349;  // "ISL1" little-endian
 /// The one version read or written.  Versions 1 and 2 lacked the group
-/// fields and the deliveries' emitters; no such file is kept anywhere, so
-/// they read as foreign files.
-constexpr std::uint32_t kVersion = 3;
+/// fields and the deliveries' emitters, and version 3 the flush_syscalls
+/// counter; no such file is kept anywhere, so they read as foreign files.
+constexpr std::uint32_t kVersion = 4;
 /// Per-vector sanity cap: a corrupt count must not drive an allocation.
 constexpr std::uint32_t kMaxRecords = 1u << 24;
 
 void put_counters(WireWriter& w, const SocketCounters& c) {
-  w.i64(c.connect_attempts);
-  w.i64(c.connect_failures);
-  w.i64(c.reconnects);
-  w.i64(c.envelopes_sent);
-  w.i64(c.envelopes_resent);
-  w.i64(c.envelopes_delivered);
-  w.i64(c.duplicates_dropped);
-  w.i64(c.heartbeats_sent);
-  w.i64(c.peer_timeouts);
-  w.i64(c.injected_resets);
-  w.i64(c.injected_stalls);
-  w.i64(c.injected_short_writes);
-  w.i64(c.injected_connect_failures);
-  w.i64(c.injected_accept_closes);
-  w.i64(c.demux_drops);
+  for (long SocketCounters::*field : kSocketCounterFields) w.i64(c.*field);
 }
 
 bool get_counters(WireReader& r, SocketCounters& c) {
-  long* fields[] = {&c.connect_attempts,  &c.connect_failures,
-                    &c.reconnects,        &c.envelopes_sent,
-                    &c.envelopes_resent,  &c.envelopes_delivered,
-                    &c.duplicates_dropped, &c.heartbeats_sent,
-                    &c.peer_timeouts,     &c.injected_resets,
-                    &c.injected_stalls,   &c.injected_short_writes,
-                    &c.injected_connect_failures,
-                    &c.injected_accept_closes, &c.demux_drops};
-  for (long* f : fields) {
+  for (long SocketCounters::*field : kSocketCounterFields) {
     auto v = r.i64();
     if (!v) return false;
-    *f = static_cast<long>(*v);
+    c.*field = static_cast<long>(*v);
   }
   return true;
 }

@@ -10,8 +10,10 @@
 // The file format reuses the wire codec (little-endian primitives, the
 // message registry for delivery payloads), framed by a magic and a
 // version, so a partial write or foreign file reads as nullopt, never UB.
-// There is one version (3): a file of any other version, the older 1 and
-// 2 included, reads as foreign.
+// There is one version (4): a file of any other version, the older 1 to 3
+// included, reads as foreign.  The counters are written in
+// kSocketCounterFields order (net/socket_transport.hpp), every field of
+// SocketCounters; version 3 lacked flush_syscalls.
 
 #pragma once
 

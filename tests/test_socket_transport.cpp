@@ -13,6 +13,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -138,6 +140,15 @@ std::string fresh_socket_dir() {
   return tmpl;
 }
 
+/// The peer resolver over a fixed address table: node i listens at
+/// addrs[i].
+AddressResolver table_resolver(std::vector<SocketAddress> addrs) {
+  return [addrs = std::move(addrs)](
+             ProcessId node) -> std::optional<SocketAddress> {
+    return addrs.at(static_cast<std::size_t>(node));
+  };
+}
+
 /// Registers replica `pid` of group 0 with `endpoint`, under identity
 /// placement: node i hosts replica i.
 void host_replica(SocketEndpoint& endpoint, const SystemConfig& cfg,
@@ -164,7 +175,9 @@ TEST(SocketEndpoint, DeliversBetweenEndpointsAndDedupsBySequence) {
     mailboxes.push_back(std::make_unique<Mailbox>(1024));
     SocketTransportOptions opts;
     opts.seed = 100 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(
+        pid, cfg.n, addrs[static_cast<std::size_t>(pid)],
+        table_resolver(addrs), opts));
     host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   const auto epoch = std::chrono::steady_clock::now();
@@ -206,7 +219,8 @@ TEST(SocketEndpoint, DispatchRejectsForeignSenders) {
         SocketAddress::unix_path(dir + "/p" + std::to_string(i) + ".sock"));
   }
   Mailbox mailbox(64);
-  SocketEndpoint ep(0, addrs, SocketTransportOptions{});
+  SocketEndpoint ep(0, cfg.n, addrs[0], table_resolver(addrs),
+                    SocketTransportOptions{});
   host_replica(ep, cfg, 0, &mailbox);
   EXPECT_THROW(ep.dispatch_group(0, 1, 1, std::make_shared<FillerMessage>()),
                std::logic_error);
@@ -267,8 +281,9 @@ TEST(SocketEndpoint, ChaosOnOneLinkIsNotChargedToGroupsThatAvoidIt) {
       opts.chaos.reset_prob = 0.9;
       opts.chaos.only_node = 1;
     }
-    endpoints.push_back(
-        std::make_unique<SocketEndpoint>(node, addrs, opts));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(
+        node, kNodes, addrs[static_cast<std::size_t>(node)],
+        table_resolver(addrs), opts));
     for (GroupId g : {1, 2}) {
       const auto& members = g == 1 ? group1_nodes : group2_nodes;
       const ProcessId self = local_pid(members, node);
@@ -480,6 +495,46 @@ TEST(SocketHub, ResendsUnderResetChaosNeverDoubleCountTowardTheQuorum) {
   EXPECT_GT(counters.envelopes_resent, 0) << "no resend was forced";
 }
 
+TEST(SocketFabric, ResetChaosHoldsDescriptorsPerLinkNotPerReconnect) {
+  // Under reset chaos a link redials every few microseconds, and each
+  // redial is one more accepted connection at its peer.  A connection that
+  // ended must give its descriptor back at once, so the process holds a
+  // few per link and listener, not one per connection the storm opened
+  // (the parent of this test held 419 to 4,378).
+  const std::filesystem::path fd_dir = "/proc/self/fd";
+  std::error_code ec;
+  if (!std::filesystem::is_directory(fd_dir, ec)) {
+    GTEST_SKIP() << "no " << fd_dir << " to count descriptors in";
+  }
+  constexpr long kBound = 128;
+  std::atomic<bool> sampling{true};
+  long peak = 0;
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      long open = 0;
+      std::error_code it_ec;
+      for (std::filesystem::directory_iterator it(fd_dir, it_ec), end;
+           !it_ec && it != end; it.increment(it_ec)) {
+        ++open;
+      }
+      peak = std::max(peak, open);
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  SocketTransportOptions opts;
+  opts.seed = 31;
+  opts.chaos.seed = 313;
+  opts.chaos.until = 300ms;
+  opts.chaos.reset_prob = 0.9;
+  SocketCounters counters;
+  run_over_fabric(SocketAddress::Kind::Unix, opts, &counters);
+  sampling = false;
+  sampler.join();
+  EXPECT_GT(counters.reconnects, 0) << "chaos never forced a redial";
+  EXPECT_LT(peak, kBound) << "after " << counters.reconnects
+                          << " reconnects";
+}
+
 // ---------------------------------------------------------------------------
 // Batched flush: resume arithmetic, timeout budgets, keepalive boundaries
 // ---------------------------------------------------------------------------
@@ -602,7 +657,9 @@ TEST(SocketEndpoint, DeepBacklogFlushesLinearlyAndCoalesced) {
     mailboxes.push_back(std::make_unique<Mailbox>(kBacklog + 64));
     SocketTransportOptions opts;
     opts.seed = 700 + static_cast<std::uint64_t>(pid);
-    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(
+        pid, cfg.n, addrs[static_cast<std::size_t>(pid)],
+        table_resolver(addrs), opts));
     host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   for (int i = 0; i < kBacklog; ++i) {
@@ -675,7 +732,9 @@ TEST(SocketEndpoint, ChaosDribbleDeliversWithinPerFrameBudgets) {
     opts.chaos.seed = 900 + static_cast<std::uint64_t>(pid);
     opts.chaos.until = std::chrono::hours{1};  // chaos for the whole test
     opts.chaos.short_write_prob = 1.0;         // dribble EVERY frame
-    endpoints.push_back(std::make_unique<SocketEndpoint>(pid, addrs, opts));
+    endpoints.push_back(std::make_unique<SocketEndpoint>(
+        pid, cfg.n, addrs[static_cast<std::size_t>(pid)],
+        table_resolver(addrs), opts));
     host_replica(*endpoints.back(), cfg, pid, mailboxes.back().get());
   }
   const auto start = std::chrono::steady_clock::now();

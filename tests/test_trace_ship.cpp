@@ -54,6 +54,7 @@ ShippedLog sample_log() {
   shipped.undelivered.push_back(UndeliveredCopy{1, 2, 5, 0});
   shipped.counters.reconnects = 3;
   shipped.counters.envelopes_resent = 8;
+  shipped.counters.flush_syscalls = 11;
   return shipped;
 }
 
@@ -87,6 +88,7 @@ TEST(TraceShip, ShippedLogRoundTripsExactly) {
   EXPECT_EQ(loaded->undelivered[0].send_round, 5);
   EXPECT_EQ(loaded->counters.reconnects, 3);
   EXPECT_EQ(loaded->counters.envelopes_resent, 8);
+  EXPECT_EQ(loaded->counters.flush_syscalls, 11);
   std::filesystem::remove_all(dir);
 }
 
@@ -139,12 +141,13 @@ TEST(TraceShip, V2GroupFieldsRoundTrip) {
 }
 
 TEST(TraceShip, RetiredAndUnknownVersionsReadAsNullopt) {
-  // Version 1 and 2 files, byte for byte as their writers produced them:
+  // Version 1 to 3 files, byte for byte as their writers produced them:
   // v1 had no group header, ungrouped copies and 14 counters; v2 added the
-  // group fields and demux_drops, but no delivery emitters.  The reader
-  // speaks version 3 only, so both are foreign files now.
+  // group fields and demux_drops, but no delivery emitters; v3 added the
+  // emitters, but not flush_syscalls.  The reader speaks version 4 only,
+  // so all three are foreign files now.
   auto retired = [](std::uint32_t version) {
-    const bool v2 = version == 2;
+    const bool v2 = version >= 2;
     WireWriter w;
     w.u32(0x314c5349);  // magic "ISL1"
     w.u32(version);
@@ -166,6 +169,7 @@ TEST(TraceShip, RetiredAndUnknownVersionsReadAsNullopt) {
     w.i32(1);
     w.i32(0);
     w.i32(1);
+    if (version == 3) w.i32(-1);  // origin
     encode_message(HaltedMessage(9), w);
     w.u32(1);  // decisions
     w.i32(2);
@@ -191,7 +195,7 @@ TEST(TraceShip, RetiredAndUnknownVersionsReadAsNullopt) {
 
   const std::string dir = fresh_dir();
   const std::string path = dir + "/old.log";
-  for (std::uint32_t version : {1u, 2u}) {
+  for (std::uint32_t version : {1u, 2u, 3u}) {
     write(path, retired(version));
     EXPECT_FALSE(read_shipped_log(path).has_value()) << "version " << version;
   }
@@ -206,8 +210,8 @@ TEST(TraceShip, RetiredAndUnknownVersionsReadAsNullopt) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  ASSERT_EQ(bytes[4], 3);  // the u32 version after the u32 magic
-  bytes[4] = 4;
+  ASSERT_EQ(bytes[4], 4);  // the u32 version after the u32 magic
+  bytes[4] = 5;
   write(path, bytes);
   EXPECT_FALSE(read_shipped_log(path).has_value());
   std::filesystem::remove_all(dir);
