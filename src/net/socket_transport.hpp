@@ -308,8 +308,7 @@ inline constexpr long SocketCounters::*kSocketCounterFields[] = {
     &SocketCounters::demux_drops,
     &SocketCounters::flush_syscalls,
 };
-static_assert(sizeof(kSocketCounterFields) / sizeof(kSocketCounterFields[0]) *
-                      sizeof(long) ==
+static_assert(std::size(kSocketCounterFields) * sizeof(long) ==
                   sizeof(SocketCounters),
               "kSocketCounterFields must list every SocketCounters field");
 

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -500,17 +499,18 @@ TEST(SocketFabric, ResetChaosHoldsDescriptorsPerLinkNotPerReconnect) {
   // redial is one more accepted connection at its peer.  A connection that
   // ended must give its descriptor back at once, so the process holds a
   // few per link and listener, not one per connection the storm opened
-  // (the parent of this test held 419 to 4,378).
+  // (an endpoint that kept every ended connection until it stopped held
+  // 419 to 4,378 here, and hung under a 1,024-descriptor limit).
   const std::filesystem::path fd_dir = "/proc/self/fd";
   std::error_code ec;
   if (!std::filesystem::is_directory(fd_dir, ec)) {
     GTEST_SKIP() << "no " << fd_dir << " to count descriptors in";
   }
   constexpr long kBound = 128;
-  std::atomic<bool> sampling{true};
   long peak = 0;
-  std::thread sampler([&] {
-    while (sampling.load()) {
+  // A jthread, so a throwing run still stops and joins the sampler.
+  std::jthread sampler([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       long open = 0;
       std::error_code it_ec;
       for (std::filesystem::directory_iterator it(fd_dir, it_ec), end;
@@ -528,7 +528,7 @@ TEST(SocketFabric, ResetChaosHoldsDescriptorsPerLinkNotPerReconnect) {
   opts.chaos.reset_prob = 0.9;
   SocketCounters counters;
   run_over_fabric(SocketAddress::Kind::Unix, opts, &counters);
-  sampling = false;
+  sampler.request_stop();
   sampler.join();
   EXPECT_GT(counters.reconnects, 0) << "chaos never forced a redial";
   EXPECT_LT(peak, kBound) << "after " << counters.reconnects
