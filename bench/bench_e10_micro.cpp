@@ -215,12 +215,14 @@ void BM_RandomAdversaryRun(benchmark::State& state) {
   const AlgorithmFactory factory = bench::default_at2();
   const std::vector<Value> proposals = distinct_proposals(cfg.n);
   std::uint64_t seed = 1;
+  KernelScratch scratch;
+  RunTrace trace;
   for (auto _ : state) {
     RandomEsOptions opt;
     opt.gst = 5;
     RandomEsAdversary adversary(cfg, opt, seed++);
-    Kernel kernel(cfg, bench::es_options(), factory, proposals, adversary);
-    RunTrace trace = kernel.run();
+    execute_run(cfg, bench::es_options(), factory, proposals, adversary,
+                scratch, trace);
     benchmark::DoNotOptimize(trace.rounds_executed());
   }
   state.SetItemsProcessed(state.iterations());

@@ -47,7 +47,7 @@ SocketTransportOptions chaotic(std::uint64_t seed) {
   socket_options.seed = seed;
   WireChaosOptions chaos;
   chaos.seed = seed ^ 0x9e3779b97f4a7c15ull;
-  chaos.until = std::chrono::microseconds{2'000};
+  chaos.until = std::chrono::microseconds{50'000};
   chaos.connect_fail_prob = 0.25;
   chaos.accept_close_prob = 0.15;
   chaos.reset_prob = 0.1;

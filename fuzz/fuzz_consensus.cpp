@@ -8,10 +8,14 @@
 // and the deliberately broken variants (X1 ablations, E2's truncated
 // A_{t+1}) must be caught.  Exit status 0 iff every target matched its
 // expected verdict — so the CI smoke job is just `fuzz_consensus --budget N`.
+// An all-target sweep lists a target as skipped only when its algorithm
+// rejects (n, t) outright (A_{f+2}, A_{t+2}^auth); any other error ends the
+// run with status 2.
 //
 // Repro workflow:
 //   fuzz_consensus --algo at2-fscheck --seed 7 --out repros/
-//       writes the minimized find as repros/at2-fscheck.sched
+//       writes the find as the repro that reproduces it (fuzz/fuzzer.hpp),
+//       repros/at2-fscheck.sched; live finds go to live-<target>.sched
 //   fuzz_consensus --replay repros/at2-fscheck.sched
 //       re-judges a single repro file (exit 0 iff it still reproduces)
 //   fuzz_consensus --corpus tests/corpus
@@ -95,22 +99,6 @@ int replay_directory(const std::string& dir) {
   return all_ok ? 0 : 1;
 }
 
-/// The minimized find, wrapped as a self-contained repro document.
-ReproCase to_repro(const FuzzTarget& target, const FuzzFinding& find,
-                   std::uint64_t seed) {
-  ReproCase repro;
-  repro.algo = target.name;
-  repro.expect_violation = true;
-  repro.max_rounds = 64;
-  repro.proposals = find.proposals;
-  repro.comment = "minimized fuzz find: " + find.description +
-                  "\nregenerate: fuzz_consensus --algo " + target.name +
-                  " --seed " + std::to_string(seed) + " (run index " +
-                  std::to_string(find.run_index) + ")";
-  repro.schedule = find.schedule;
-  return repro;
-}
-
 void write_repro(const std::string& dir, const std::string& file_name,
                  const ReproCase& repro) {
   std::filesystem::create_directories(dir);
@@ -124,29 +112,70 @@ void write_repro(const std::string& dir, const std::string& file_name,
   std::cerr << "wrote " << path << "\n";
 }
 
-int fuzz(const DriverOptions& opts) {
+/// The targets of a sweep: the one --algo names, or every registered
+/// target less the `byz_only` ones when `drop_byz_only`.  Empty, after a
+/// diagnostic, when --algo names no target.
+std::vector<const FuzzTarget*> sweep_targets(const DriverOptions& opts,
+                                             bool drop_byz_only) {
   std::vector<const FuzzTarget*> targets;
-  if (opts.algo == "all") {
-    for (const FuzzTarget& t : fuzz_targets()) {
-      // The auth ablations carry no crash-only verdict; they only run
-      // when liars are on the table.
-      if (t.byz_only && opts.byz == 0) continue;
-      targets.push_back(&t);
-    }
-  } else {
-    const FuzzTarget* t = find_fuzz_target(opts.algo);
-    if (!t) {
+  if (opts.algo != "all") {
+    if (const FuzzTarget* t = find_fuzz_target(opts.algo)) {
+      targets.push_back(t);
+    } else {
       std::cerr << "fuzz_consensus: unknown target '" << opts.algo
                 << "' (see --list)\n";
-      return 1;
     }
-    if (t->byz_only && opts.byz == 0) {
-      std::cerr << "fuzz_consensus: target '" << opts.algo
-                << "' only runs under --byz (it has no crash-only "
-                   "verdict)\n";
-      return 1;
-    }
-    targets.push_back(t);
+    return targets;
+  }
+  for (const FuzzTarget& t : fuzz_targets()) {
+    if (!(drop_byz_only && t.byz_only)) targets.push_back(&t);
+  }
+  return targets;
+}
+
+/// The skip rule of an all-target sweep: a target is skipped only when its
+/// algorithm rejects (n, t) outright, and the returned text is its row's
+/// verdict.  With --algo nothing is skipped, and the sweep's own throw ends
+/// the run with status 2.
+std::optional<std::string> skip_reason(const DriverOptions& opts,
+                                       const FuzzTarget& target,
+                                       const SystemConfig& config) {
+  if (opts.algo != "all") return std::nullopt;
+  const std::optional<std::string> why = rejection(target, config);
+  if (!why) return std::nullopt;
+  return "skipped: " + *why;
+}
+
+std::optional<std::chrono::steady_clock::time_point> wall_deadline(
+    const DriverOptions& opts) {
+  if (opts.wall_secs <= 0) return std::nullopt;
+  return std::chrono::steady_clock::now() +
+         std::chrono::microseconds{
+             static_cast<long long>(opts.wall_secs * 1e6)};
+}
+
+/// Reports a find on stderr and, with --out, writes its repro.
+void emit_find(const DriverOptions& opts, const FuzzFinding& find) {
+  const std::string& name = find.repro.algo;
+  std::cerr << name << ": run " << find.run_index << " -> "
+            << (opts.live ? "[" + std::string(to_string(find.kind)) + "] "
+                          : "")
+            << find.description << " (shrink " << find.shrink_stats.accepted
+            << "/" << find.shrink_stats.attempts << " reductions)\n";
+  if (opts.out_dir) {
+    write_repro(*opts.out_dir, (opts.live ? "live-" : "") + name + ".sched",
+                find.repro);
+  }
+}
+
+int fuzz(const DriverOptions& opts) {
+  const std::vector<const FuzzTarget*> targets =
+      sweep_targets(opts, /*drop_byz_only=*/opts.byz == 0);
+  if (targets.empty()) return 1;
+  if (targets.front()->byz_only && opts.byz == 0) {
+    std::cerr << "fuzz_consensus: target '" << opts.algo
+              << "' only runs under --byz (it has no crash-only verdict)\n";
+    return 1;
   }
 
   FuzzOptions fuzz_options;
@@ -155,14 +184,10 @@ int fuzz(const DriverOptions& opts) {
   fuzz_options.shrink = opts.shrink;
   fuzz_options.gen.byz = opts.byz;
   fuzz_options.campaign = default_campaign();
-  if (opts.wall_secs > 0) {
-    fuzz_options.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds{
-            static_cast<long long>(opts.wall_secs * 1e6)};
-  }
+  fuzz_options.deadline = wall_deadline(opts);
 
   const SystemConfig config{.n = opts.n, .t = opts.t};
+  config.validate();
   Table table({"target", "model", "expect", "runs", "violations", "first",
                "shrunk-rounds", "verdict"});
   bool all_ok = true;
@@ -170,19 +195,13 @@ int fuzz(const DriverOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
   long total_runs = 0;
   for (const FuzzTarget* target : targets) {
-    FuzzReport report;
-    try {
-      report = fuzz_target(*target, config, fuzz_options);
-    } catch (const std::exception& e) {
-      // An algorithm can reject the system size outright (A_{f+2} needs
-      // t < n/3).  In an all-target sweep that is a skip, not a failure;
-      // with an explicit --algo it is the user's error.
-      if (opts.algo != "all") throw;
+    if (auto reason = skip_reason(opts, *target, config)) {
       table.add(target->name, target->model == Model::ES ? "ES" : "SCS",
                 target->expect_safe ? "safe" : "broken", 0L, 0L, "-", "-",
-                std::string("skipped: ") + e.what());
+                *reason);
       continue;
     }
+    const FuzzReport report = fuzz_target(*target, config, fuzz_options);
     total_runs += report.runs;
     const bool ok = report.as_expected();
     all_ok = all_ok && ok;
@@ -195,19 +214,11 @@ int fuzz(const DriverOptions& opts) {
               expect_label, report.runs,
               report.violations,
               report.first ? std::to_string(report.first->run_index) : "-",
-              report.first ? std::to_string(report.first->planned_rounds)
+              report.first ? std::to_string(
+                                 report.first->repro.schedule.planned_rounds())
                            : "-",
               ok ? "as expected" : "UNEXPECTED");
-    if (report.first) {
-      std::cerr << report.target << ": run " << report.first->run_index
-                << " -> " << report.first->description << " (shrink "
-                << report.first->shrink_stats.accepted << "/"
-                << report.first->shrink_stats.attempts << " reductions)\n";
-      if (opts.out_dir) {
-        write_repro(*opts.out_dir, target->name + ".sched",
-                    to_repro(*target, *report.first, opts.seed));
-      }
-    }
+    if (report.first) emit_find(opts, *report.first);
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -248,18 +259,9 @@ int write_samples(const std::string& dir) {
 }
 
 int live_fuzz(const DriverOptions& opts) {
-  std::vector<const FuzzTarget*> targets;
-  if (opts.algo == "all") {
-    for (const FuzzTarget& t : fuzz_targets()) targets.push_back(&t);
-  } else {
-    const FuzzTarget* t = find_fuzz_target(opts.algo);
-    if (!t) {
-      std::cerr << "fuzz_consensus: unknown target '" << opts.algo
-                << "' (see --list)\n";
-      return 1;
-    }
-    targets.push_back(t);
-  }
+  const std::vector<const FuzzTarget*> targets =
+      sweep_targets(opts, /*drop_byz_only=*/false);
+  if (targets.empty()) return 1;
 
   LiveFuzzOptions live_options;
   live_options.seed = opts.seed;
@@ -272,14 +274,10 @@ int live_fuzz(const DriverOptions& opts) {
   live_options.groups = opts.groups;
   // CLI validation guarantees the name parses.
   live_options.gen.synchronizer = *parse_sync_kind(opts.sync);
-  if (opts.wall_secs > 0) {
-    live_options.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds{
-            static_cast<long long>(opts.wall_secs * 1e6)};
-  }
+  live_options.deadline = wall_deadline(opts);
 
   const SystemConfig config{.n = opts.n, .t = opts.t};
+  config.validate();
   // Only seed-derived and guaranteed-outcome columns: the stdout table is
   // bit-identical per (seed, budget) unless the wall clock cut the sweep
   // short.  Timing-dependent detail ("caught" counts, shrink stats) goes
@@ -293,18 +291,14 @@ int live_fuzz(const DriverOptions& opts) {
   long total_caught = 0;
   SocketCounters total_socket;
   for (const FuzzTarget* target : targets) {
-    LiveFuzzReport report;
-    try {
-      report = live_fuzz_target(*target, config, live_options);
-    } catch (const std::exception& e) {
-      // Same skip rule as schedule mode: algorithms may reject the system
-      // size outright (A_{f+2} needs t < n/3).
-      if (opts.algo != "all") throw;
+    if (auto reason = skip_reason(opts, *target, config)) {
       table.add(target->name, target->model == Model::ES ? "ES" : "SCS",
                 target->expect_safe ? "safe" : "broken", 0L, 0L, 0L, 0L, "-",
-                std::string("skipped: ") + e.what());
+                *reason);
       continue;
     }
+    const LiveFuzzReport report =
+        live_fuzz_target(*target, config, live_options);
     total_runs += report.runs;
     total_caught += report.caught;
     total_socket += report.socket_counters;
@@ -320,17 +314,7 @@ int live_fuzz(const DriverOptions& opts) {
       std::cerr << report.target << ": " << report.caught
                 << " expected violations under live timing (caught)\n";
     }
-    if (report.first) {
-      std::cerr << report.target << ": run " << report.first->run_index
-                << " -> [" << to_string(report.first->kind) << "] "
-                << report.first->description << " (shrink "
-                << report.first->shrink_stats.accepted << "/"
-                << report.first->shrink_stats.attempts << " reductions)\n";
-      if (opts.out_dir) {
-        write_repro(*opts.out_dir, "live-" + target->name + ".sched",
-                    live_finding_to_repro(*target, *report.first, opts.seed));
-      }
-    }
+    if (report.first) emit_find(opts, *report.first);
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

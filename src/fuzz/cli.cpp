@@ -49,6 +49,22 @@ void driver_usage(std::ostream& os) {
         "2 on usage errors.\n";
 }
 
+std::string command_line(const DriverOptions& opts) {
+  const DriverOptions defaults;
+  std::string line = "fuzz_consensus";
+  if (opts.live) line += opts.socket ? " --socket" : " --live";
+  line += " --algo " + opts.algo;
+  if (opts.byz != defaults.byz) line += " --byz " + std::to_string(opts.byz);
+  if (opts.n != defaults.n || opts.t != defaults.t) {
+    line += " --n " + std::to_string(opts.n) + " --t " + std::to_string(opts.t);
+  }
+  if (opts.groups != defaults.groups) {
+    line += " --groups " + std::to_string(opts.groups);
+  }
+  if (opts.sync != defaults.sync) line += " --sync " + opts.sync;
+  return line + " --seed " + std::to_string(opts.seed);
+}
+
 std::optional<DriverOptions> parse_driver_args(int argc,
                                                const char* const* argv,
                                                std::ostream& err) {

@@ -57,6 +57,13 @@ std::optional<double> parse_double(std::string_view text);
 
 void driver_usage(std::ostream& os);
 
+/// The fuzz_consensus command that reruns the sweep `opts` describes: its
+/// mode (--live or --socket), --algo, --byz, --groups and --sync where they
+/// differ from their defaults, the system size (--n and --t) unless it is
+/// the default n=3 t=1, then --seed.  A find's repro comment names its
+/// sweep with it.
+std::string command_line(const DriverOptions& opts);
+
 /// Parses argv.  On any usage error (unknown flag, missing or malformed
 /// value) prints a one-line diagnostic to `err` and returns nullopt.
 std::optional<DriverOptions> parse_driver_args(int argc, const char* const* argv,

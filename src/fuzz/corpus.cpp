@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "fuzz/targets.hpp"
-#include "sim/harness.hpp"
 #include "sim/schedule_io.hpp"
 
 namespace indulgence {
@@ -183,33 +182,42 @@ std::vector<std::pair<std::string, ReproCase>> load_corpus_dir(
   return corpus;
 }
 
+RunResult run_repro(const FuzzTarget& target, const ReproCase& repro,
+                    AlgorithmInstances* algorithms_out) {
+  KernelOptions options;
+  options.model = repro.model.value_or(target.model);
+  options.max_rounds = repro.max_rounds;
+  return run_and_check(repro.config(), options, target.factory,
+                       repro.proposals.empty()
+                           ? distinct_proposals(repro.config().n)
+                           : repro.proposals,
+                       repro.schedule, algorithms_out);
+}
+
+ReplayVerdict replay_repro(const FuzzTarget& target, const ReproCase& repro) {
+  AlgorithmInstances algorithms;
+  const RunResult result = run_repro(target, repro, &algorithms);
+  ReplayVerdict verdict;
+  verdict.name = target.name;
+  verdict.expect_violation = repro.expect_violation;
+  verdict.expect_invalid = repro.expect_invalid;
+  verdict.model_valid = result.validation.ok();
+  if (auto what = find_check(repro.check.value_or(target.check))(
+          result, algorithms)) {
+    verdict.violation = true;
+    verdict.detail = *what;
+  }
+  return verdict;
+}
+
 ReplayVerdict replay_repro(const std::string& name, const ReproCase& repro) {
   const FuzzTarget* target = find_fuzz_target(repro.algo);
   if (!target) {
     throw std::runtime_error(name + ": unknown fuzz target '" + repro.algo +
                              "'");
   }
-  KernelOptions options;
-  options.model = repro.model.value_or(target->model);
-  options.max_rounds = repro.max_rounds;
-  const ViolationPredicate violated =
-      find_check(repro.check.value_or(target->check));
-  const std::vector<Value> proposals =
-      repro.proposals.empty() ? distinct_proposals(repro.config().n)
-                              : repro.proposals;
-
-  RunContext ctx(repro.config(), options);
-  const RunResult& result = ctx.run(target->factory, proposals,
-                                    repro.schedule);
-  ReplayVerdict verdict;
+  ReplayVerdict verdict = replay_repro(*target, repro);
   verdict.name = name;
-  verdict.expect_violation = repro.expect_violation;
-  verdict.expect_invalid = repro.expect_invalid;
-  verdict.model_valid = result.validation.ok();
-  if (auto what = violated(result, ctx.algorithms())) {
-    verdict.violation = true;
-    verdict.detail = *what;
-  }
   return verdict;
 }
 

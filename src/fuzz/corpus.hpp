@@ -9,6 +9,11 @@
 // test re-runs every file on each CI run, so a bug once captured can never
 // silently regress.
 //
+// replay_repro is the one kernel judge of a repro.  Every fuzz find, from
+// a schedule, live or socket sweep, is the ReproCase that reproduces it:
+// the judge's verdict on the find's original schedule is its claim, the
+// shrinker keeps that verdict matching, and the corpus replay checks it.
+//
 //   repro v1
 //   # free-form commentary
 //   algo at2-fscheck
@@ -30,9 +35,12 @@
 
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
+#include "sim/harness.hpp"
 #include "sim/schedule.hpp"
 
 namespace indulgence {
+
+struct FuzzTarget;
 
 struct ReproCase {
   std::string algo;                   ///< fuzz target name
@@ -85,8 +93,18 @@ struct ReplayVerdict {
   friend bool operator==(const ReplayVerdict&, const ReplayVerdict&) = default;
 };
 
-/// Replays one entry (resolving its target, check, and model) and judges it.
-/// Throws std::runtime_error when the entry names an unknown target.
+/// Runs `repro`'s schedule for `target` through the kernel, under the
+/// repro's model and round cap (the model defaults to the target's).
+RunResult run_repro(const FuzzTarget& target, const ReproCase& repro,
+                    AlgorithmInstances* algorithms_out = nullptr);
+
+/// The judge: runs `repro` for `target` and judges the run with the repro's
+/// check (default: the target's).  The verdict is named after the target.
+ReplayVerdict replay_repro(const FuzzTarget& target, const ReproCase& repro);
+
+/// Resolves the entry's target by name, then judges it as above; the
+/// verdict is named `name`.  Throws std::runtime_error when the entry names
+/// an unknown target.
 ReplayVerdict replay_repro(const std::string& name, const ReproCase& repro);
 
 /// Replays a whole corpus on the campaign engine; the verdict list is in

@@ -3,29 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "fuzz/cli.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 
 namespace {
-
-/// FNV-1a, so the per-target seed stream is stable across platforms and
-/// does not depend on the target's position in the registry.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t cell_seed(const FuzzTarget& target, const SystemConfig& config,
-                        std::uint64_t seed) {
-  return seed ^ fnv1a(target.name) ^
-         (static_cast<std::uint64_t>(config.n) << 32) ^
-         static_cast<std::uint64_t>(config.t);
-}
 
 /// Lowest-run-index-wins monoid for the campaign reduce.
 struct CellResult {
@@ -51,11 +34,62 @@ struct CellResult {
 
 }  // namespace
 
+const char* to_string(FindingKind kind) {
+  switch (kind) {
+    case FindingKind::InvalidTrace: return "invalid-trace";
+    case FindingKind::UnflaggedLoss: return "unflagged-loss";
+    case FindingKind::Violation: return "violation";
+    case FindingKind::Divergence: return "divergence";
+  }
+  return "?";
+}
+
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t cell_seed(std::string_view stream, const SystemConfig& config,
+                        std::uint64_t seed) {
+  return seed ^ fnv1a(stream) ^ (static_cast<std::uint64_t>(config.n) << 32) ^
+         static_cast<std::uint64_t>(config.t);
+}
+
+void claim_and_shrink(const FuzzTarget& target, FuzzFinding& finding,
+                      bool shrink) {
+  ReproCase& repro = finding.repro;
+  finding.original = repro.schedule;
+  const ReplayVerdict claim = replay_repro(target, repro);
+  repro.expect_invalid = !claim.model_valid;
+  repro.expect_violation = claim.model_valid && claim.violation;
+  if (!shrink || !(repro.expect_invalid || repro.expect_violation)) return;
+
+  const ShrinkTest still_matches = [&](const SystemConfig& config,
+                                       const std::vector<Value>& proposals,
+                                       const RunSchedule& candidate) {
+    // A smaller system the algorithm rejects reproduces nothing.
+    if (config != repro.config() && rejection(target, config)) return false;
+    ReproCase shrunk = repro;
+    shrunk.proposals = proposals;
+    shrunk.schedule = candidate;
+    return replay_repro(target, shrunk).matches();
+  };
+  ShrinkResult shrunk = shrink_schedule(repro.config(), repro.proposals,
+                                        repro.schedule, still_matches);
+  repro.proposals = std::move(shrunk.proposals);
+  repro.schedule = std::move(shrunk.schedule);
+  finding.shrink_stats = shrunk.stats;
+}
+
 RunSchedule fuzz_run_schedule(const FuzzTarget& target, SystemConfig config,
                               std::uint64_t seed, long run_index,
                               const FuzzGenOptions& gen,
                               std::vector<Value>* proposals_out) {
-  Rng rng = Rng::for_stream(cell_seed(target, config, seed),
+  Rng rng = Rng::for_stream(cell_seed(target.name, config, seed),
                             static_cast<std::uint64_t>(run_index));
   std::vector<Value> proposals = random_proposals(config, rng);
   RunSchedule schedule = random_run_schedule(config, target.model, rng, gen);
@@ -121,37 +155,24 @@ FuzzReport fuzz_target(const FuzzTarget& target, SystemConfig config,
   report.wall_cutoff = cell.wall_cutoff;
   if (cell.first_index < 0) return report;
 
-  FuzzFinding finding{cell.first_index,
-                      cell.first_description,
-                      config,
-                      {},
-                      RunSchedule(config),
-                      RunSchedule(config),
-                      {},
-                      0};
-  finding.original = fuzz_run_schedule(target, config, options.seed,
-                                       cell.first_index, options.gen,
-                                       &finding.proposals);
-  finding.schedule = finding.original;
-
-  if (options.shrink) {
-    const ShrinkTest still_fails =
-        [&](const SystemConfig& candidate_config,
-            const std::vector<Value>& proposals,
-            const RunSchedule& candidate) {
-          RunContext ctx(candidate_config, kernel_options);
-          const RunResult& r = ctx.run(target.factory, proposals, candidate);
-          return r.validation.ok() &&
-                 violated(r, ctx.algorithms()).has_value();
-        };
-    ShrinkResult shrunk = shrink_schedule(config, finding.proposals,
-                                          finding.original, still_fails);
-    finding.config = shrunk.config;
-    finding.proposals = std::move(shrunk.proposals);
-    finding.schedule = std::move(shrunk.schedule);
-    finding.shrink_stats = shrunk.stats;
-  }
-  finding.planned_rounds = finding.schedule.planned_rounds();
+  DriverOptions sweep;
+  sweep.algo = target.name;
+  sweep.seed = options.seed;
+  sweep.n = config.n;
+  sweep.t = config.t;
+  sweep.byz = options.gen.byz;
+  FuzzFinding finding{.run_index = cell.first_index,
+                      .description = cell.first_description};
+  finding.repro.algo = target.name;
+  finding.repro.max_rounds = options.max_rounds;
+  finding.repro.comment = "minimized fuzz find: " + finding.description +
+                          "\nregenerate: " + command_line(sweep) +
+                          " (run index " + std::to_string(cell.first_index) +
+                          ")";
+  finding.repro.schedule =
+      fuzz_run_schedule(target, config, options.seed, cell.first_index,
+                        options.gen, &finding.repro.proposals);
+  claim_and_shrink(target, finding, options.shrink);
   report.first = std::move(finding);
   return report;
 }

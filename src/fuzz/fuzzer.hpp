@@ -4,19 +4,30 @@
 // One campaign sweeps `budget` random schedules for one target on the
 // parallel campaign engine.  Determinism contract (same as every other
 // campaign in this repository): run i's schedule is derived from
-// Rng::for_stream(seed', i) where seed' mixes the user seed with the target
-// name and system config — never from the job count or chunk layout — and
-// the reported first find is the lowest-index violating run, so a fuzz
-// verdict is reproducible at any thread count and any single run can be
-// regenerated from (seed, target, config, index) alone.
+// Rng::for_stream(cell_seed(target name, config, seed), i) — never from the
+// job count or chunk layout — and the reported first find is the
+// lowest-index violating run, so a fuzz verdict is reproducible at any
+// thread count and any single run can be regenerated from (seed, target,
+// config, index) alone.
+//
+// Every find, of this sweep or of the live and socket sweeps
+// (fuzz/live_fuzzer.hpp), is one FuzzFinding: the ReproCase that
+// reproduces it.  claim_and_shrink sets its claim to the judge's verdict
+// on the original schedule (replay_repro, fuzz/corpus.hpp) and shrinks it
+// while that verdict still matches, so a written find replays to its claim
+// by construction.  Its comment names the fuzz_consensus command that
+// regenerates the sweep.
 
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "fuzz/corpus.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/shrink.hpp"
 #include "fuzz/targets.hpp"
@@ -35,17 +46,37 @@ struct FuzzOptions {
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-/// A violating run, as generated and (when enabled) as minimized.
+/// What a sweep's oracle saw.  A schedule sweep finds violations only; the
+/// live and socket sweeps' oracles report all four.
+enum class FindingKind {
+  InvalidTrace,   ///< a valid draw's merged trace failed validation
+  UnflaggedLoss,  ///< copies were dropped, yet the validator said OK
+  Violation,      ///< a target that owes safety broke its check
+  Divergence,     ///< the kernel replay of the export disagreed with the run
+};
+
+const char* to_string(FindingKind kind);
+
+/// One find of a schedule, live or socket sweep.
 struct FuzzFinding {
   long run_index = -1;        ///< index within the (target, config) cell
-  std::string description;    ///< what broke, from the predicate
-  SystemConfig config;        ///< post-shrink system (== input when !shrink)
-  std::vector<Value> proposals;
-  RunSchedule schedule;       ///< post-shrink schedule
-  RunSchedule original;       ///< the schedule exactly as generated
-  ShrinkStats shrink_stats;
-  int planned_rounds = 0;     ///< non-empty rounds of the minimized schedule
+  FindingKind kind = FindingKind::Violation;
+  std::string description;    ///< what the sweep's oracle saw
+  /// The repro that reproduces the find, post-shrink: its system,
+  /// proposals, model and round cap are the find's, and its claim is the
+  /// judge's verdict on `original`.
+  ReproCase repro{};
+  RunSchedule original{SystemConfig{.n = 3, .t = 0}};  ///< as generated
+  ShrinkStats shrink_stats{};
 };
+
+/// Makes `finding` the repro that reproduces it.  `finding.repro` arrives
+/// holding the find's schedule, which becomes `original`; the judge's
+/// verdict on it becomes the claim.  When that claims a violation or an
+/// invalid run and `shrink` is set, the schedule (and system) shrink while
+/// the judge still says the repro matches its claim.
+void claim_and_shrink(const FuzzTarget& target, FuzzFinding& finding,
+                      bool shrink);
 
 struct FuzzReport {
   std::string target;
@@ -59,7 +90,7 @@ struct FuzzReport {
   long invalid_runs = 0;   ///< generator emitted a model-invalid run (a bug)
   long violations = 0;
   bool wall_cutoff = false;  ///< the deadline stopped the sweep early
-  std::optional<FuzzFinding> first;  ///< lowest-index violation, minimized
+  std::optional<FuzzFinding> first;  ///< lowest-index violation
 
   /// The fuzz verdict agrees with the paper: safe targets survived every
   /// run, known-broken targets were caught, and the generator never left
@@ -82,12 +113,21 @@ struct FuzzReport {
 FuzzReport fuzz_target(const FuzzTarget& target, SystemConfig config,
                        const FuzzOptions& options);
 
-/// The per-run schedule the campaign would examine (exposed so tests, and
-/// the driver when wrapping a find as a repro, can regenerate any single
-/// run from (seed, target, config, index) alone).
+/// The per-run schedule the campaign would examine (exposed so tests can
+/// regenerate any single run from (seed, target, config, index) alone).
 RunSchedule fuzz_run_schedule(const FuzzTarget& target, SystemConfig config,
                               std::uint64_t seed, long run_index,
                               const FuzzGenOptions& gen,
                               std::vector<Value>* proposals_out = nullptr);
+
+/// FNV-1a: stable across platforms, so a sweep's seed stream does not
+/// depend on the target's position in the registry.
+std::uint64_t fnv1a(std::string_view text);
+
+/// The seed of one sweep cell: `seed` mixed with the hash of `stream` (the
+/// target name, behind "live:" or "socket:" for the live sweeps, so no two
+/// sweeps shadow each other) and with the system size.
+std::uint64_t cell_seed(std::string_view stream, const SystemConfig& config,
+                        std::uint64_t seed);
 
 }  // namespace indulgence

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "fuzz/cli.hpp"
 #include "fuzz/generator.hpp"
 #include "net/runtime.hpp"
 #include "net/sharded_runtime.hpp"
@@ -15,32 +16,6 @@ namespace indulgence {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// FNV-1a, as in fuzzer.cpp; the "live:" prefix keeps the live seed stream
-/// decorrelated from the schedule fuzzer's stream for the same target.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t live_cell_seed(const FuzzTarget& target,
-                             const SystemConfig& config, std::uint64_t seed) {
-  return seed ^ fnv1a("live:" + target.name) ^
-         (static_cast<std::uint64_t>(config.n) << 32) ^
-         static_cast<std::uint64_t>(config.t);
-}
-
-std::uint64_t socket_cell_seed(const FuzzTarget& target,
-                               const SystemConfig& config,
-                               std::uint64_t seed) {
-  return seed ^ fnv1a("socket:" + target.name) ^
-         (static_cast<std::uint64_t>(config.n) << 32) ^
-         static_cast<std::uint64_t>(config.t);
-}
 
 std::map<ProcessId, Round> decision_rounds(const RunTrace& trace) {
   std::map<ProcessId, Round> out;
@@ -61,89 +36,49 @@ struct RunOutcome {
   bool flagged_invalid = false;
   bool caught = false;
   SocketCounters counters;
-  std::optional<LiveFinding> finding;
+  std::optional<FuzzFinding> finding;  ///< its repro not yet claimed
 };
-
-/// The kernel-replay parity oracle's half: one group's live trace exported
-/// and replayed through the lockstep kernel, capped at the rounds the live
-/// run actually executed.
-struct KernelReplay {
-  Round horizon;
-  RunSchedule exported;
-  RunResult kernel;
-};
-
-KernelReplay replay_in_kernel(const FuzzTarget& target,
-                              const SystemConfig& config,
-                              const std::vector<Value>& proposals,
-                              const RunTrace& live) {
-  const Round horizon = std::max<Round>(live.rounds_executed(), 1);
-  RunSchedule exported = schedule_from_trace(live);
-  KernelOptions kernel_options;
-  kernel_options.model = Model::ES;
-  kernel_options.max_rounds = horizon;
-  RunResult kernel = run_and_check(config, kernel_options, target.factory,
-                                   proposals, exported);
-  return KernelReplay{horizon, std::move(exported), std::move(kernel)};
-}
-
-/// Records a finding on one group's export in `outcome`.
-void record_finding(RunOutcome& outcome, long run_index, LiveFindingKind kind,
-                    std::string description, const SystemConfig& config,
-                    const std::vector<Value>& proposals,
-                    const KernelReplay& replay) {
-  LiveFinding f;
-  f.run_index = run_index;
-  f.kind = kind;
-  f.description = std::move(description);
-  f.config = config;
-  f.proposals = proposals;
-  f.schedule = replay.exported;
-  f.original = replay.exported;
-  f.max_rounds = replay.horizon;
-  f.planned_rounds = replay.exported.planned_rounds();
-  outcome.finding = std::move(f);
-}
 
 /// Judges one group of a valid draw, in order: the merged trace must
 /// validate, a target that owes safety must keep it, and the kernel replay
 /// of the export must validate and decide in the same rounds.  `where`
 /// prefixes every description, and `draw` names the draw in the
 /// invalid-trace one.  Returns true when it recorded a finding.
-bool judge_group(const FuzzTarget& target, const SystemConfig& config,
-                 const ViolationPredicate& violated, long run_index,
-                 const std::vector<Value>& proposals, const RunResult& live,
-                 const AlgorithmInstances& algorithms,
+bool judge_group(const FuzzTarget& target, const ViolationPredicate& violated,
+                 long run_index, const std::vector<Value>& proposals,
+                 const RunResult& live, const AlgorithmInstances& algorithms,
                  const std::string& where, const std::string& draw,
                  RunOutcome& outcome) {
-  const KernelReplay replay =
-      replay_in_kernel(target, config, proposals, live.trace);
-  auto finding = [&](LiveFindingKind kind, const std::string& description) {
-    record_finding(outcome, run_index, kind, where + description, config,
-                   proposals, replay);
+  ReproCase repro = live_repro(target, proposals, live.trace);
+  const RunResult replay = run_repro(target, repro);
+  auto finding = [&](FindingKind kind, const std::string& description) {
+    outcome.finding = FuzzFinding{.run_index = run_index,
+                                  .kind = kind,
+                                  .description = where + description,
+                                  .repro = std::move(repro)};
     return true;
   };
 
   if (!live.validation.ok()) {
-    return finding(LiveFindingKind::InvalidTrace,
+    return finding(FindingKind::InvalidTrace,
                    draw + " produced an invalid trace: " +
                        first_violation(live.validation));
   }
   if (auto what = violated(live, algorithms)) {
     if (target.expect_safe && target.model == Model::ES) {
-      return finding(LiveFindingKind::Violation, *what);
+      return finding(FindingKind::Violation, *what);
     }
     // SCS algorithms and the deliberately broken variants are EXPECTED to
     // crack under asynchronous timing — the paper's indulgence price.
     outcome.caught = true;
   }
-  if (!replay.kernel.validation.ok()) {
-    return finding(LiveFindingKind::Divergence,
+  if (!replay.validation.ok()) {
+    return finding(FindingKind::Divergence,
                    "live trace valid, but its kernel replay is not: " +
-                       first_violation(replay.kernel.validation));
+                       first_violation(replay.validation));
   }
-  if (decision_rounds(replay.kernel.trace) != decision_rounds(live.trace)) {
-    return finding(LiveFindingKind::Divergence,
+  if (decision_rounds(replay.trace) != decision_rounds(live.trace)) {
+    return finding(FindingKind::Divergence,
                    "kernel replay decision rounds differ from the live run");
   }
   return false;
@@ -161,25 +96,28 @@ RunOutcome judge_run(const FuzzTarget& target, const SystemConfig& config,
   const RunResult live = runtime.run(target.factory, plan.proposals);
 
   if (!plan.lossy) {
-    judge_group(target, config, violated, run_index, plan.proposals, live,
+    judge_group(target, violated, run_index, plan.proposals, live,
                 runtime.algorithms(), "", "valid draw", outcome);
     return outcome;
   }
-  const KernelReplay replay =
-      replay_in_kernel(target, config, plan.proposals, live.trace);
+  ReproCase repro = live_repro(target, plan.proposals, live.trace);
+  const bool replay_valid = run_repro(target, repro).validation.ok();
   outcome.flagged_invalid = !live.validation.ok();
+  auto finding = [&](FindingKind kind, std::string description) {
+    outcome.finding = FuzzFinding{.run_index = run_index,
+                                  .kind = kind,
+                                  .description = std::move(description),
+                                  .repro = std::move(repro)};
+  };
   if (runtime.dropped_copies() > 0 && live.validation.ok()) {
-    record_finding(outcome, run_index, LiveFindingKind::UnflaggedLoss,
-                   "dropped " + std::to_string(runtime.dropped_copies()) +
-                       " copies yet the validator accepted the trace",
-                   config, plan.proposals, replay);
-  } else if (replay.kernel.validation.ok() != live.validation.ok()) {
-    record_finding(outcome, run_index, LiveFindingKind::Divergence,
-                   std::string("validity diverged: live ") +
-                       (live.validation.ok() ? "valid" : "invalid") +
-                       ", kernel replay " +
-                       (replay.kernel.validation.ok() ? "valid" : "invalid"),
-                   config, plan.proposals, replay);
+    finding(FindingKind::UnflaggedLoss,
+            "dropped " + std::to_string(runtime.dropped_copies()) +
+                " copies yet the validator accepted the trace");
+  } else if (replay_valid != live.validation.ok()) {
+    finding(FindingKind::Divergence,
+            std::string("validity diverged: live ") +
+                (live.validation.ok() ? "valid" : "invalid") +
+                ", kernel replay " + (replay_valid ? "valid" : "invalid"));
   }
   return outcome;
 }
@@ -208,9 +146,10 @@ RunOutcome judge_socket_run(const FuzzTarget& target,
   if (groups > 1) {
     // A separate stream for the sharding-only draws, so adding them never
     // perturbs the single-group plan for the same (seed, run index).
-    Rng shard_rng = Rng::for_stream(
-        socket_cell_seed(target, config, seed) ^ fnv1a("sharded:"),
-        static_cast<std::uint64_t>(run_index));
+    const std::uint64_t shard_seed =
+        cell_seed("socket:" + target.name, config, seed) ^ fnv1a("sharded:");
+    Rng shard_rng =
+        Rng::for_stream(shard_seed, static_cast<std::uint64_t>(run_index));
     sharded.num_nodes += shard_rng.next_int(0, 1);
     sharded.live.crashes.clear();  // see LiveFuzzOptions::groups
     proposals.resize(static_cast<std::size_t>(groups));
@@ -227,7 +166,7 @@ RunOutcome judge_socket_run(const FuzzTarget& target,
 
   const bool one = groups == 1;
   for (const auto& [g, group_outcome] : result.groups) {
-    if (judge_group(target, config, violated, run_index,
+    if (judge_group(target, violated, run_index,
                     proposals[static_cast<std::size_t>(g)],
                     group_outcome.result, group_outcome.algorithms,
                     one ? "" : "group " + std::to_string(g) + "/" +
@@ -249,7 +188,7 @@ struct LiveCell {
   long findings = 0;
   bool wall_cutoff = false;
   SocketCounters counters;
-  std::optional<LiveFinding> first;
+  std::optional<FuzzFinding> first;
 
   void merge(const LiveCell& other) {
     runs += other.runs;
@@ -268,20 +207,21 @@ struct LiveCell {
 
 }  // namespace
 
-const char* to_string(LiveFindingKind kind) {
-  switch (kind) {
-    case LiveFindingKind::InvalidTrace: return "invalid-trace";
-    case LiveFindingKind::UnflaggedLoss: return "unflagged-loss";
-    case LiveFindingKind::Violation: return "violation";
-    case LiveFindingKind::Divergence: return "divergence";
-  }
-  return "?";
+ReproCase live_repro(const FuzzTarget& target, std::vector<Value> proposals,
+                     const RunTrace& live) {
+  ReproCase repro;
+  repro.algo = target.name;
+  if (target.model != Model::ES) repro.model = Model::ES;
+  repro.max_rounds = std::max<Round>(live.rounds_executed(), 1);
+  repro.proposals = std::move(proposals);
+  repro.schedule = schedule_from_trace(live);
+  return repro;
 }
 
 LiveRunPlan live_fuzz_run_plan(const FuzzTarget& target, SystemConfig config,
                                std::uint64_t seed, long run_index,
                                const LiveGenOptions& gen) {
-  Rng rng = Rng::for_stream(live_cell_seed(target, config, seed),
+  Rng rng = Rng::for_stream(cell_seed("live:" + target.name, config, seed),
                             static_cast<std::uint64_t>(run_index));
   LiveRunPlan plan;
   plan.lossy = rng.chance(1, 4);
@@ -294,7 +234,7 @@ LiveRunPlan live_fuzz_run_plan(const FuzzTarget& target, SystemConfig config,
 LiveRunPlan live_socket_run_plan(const FuzzTarget& target, SystemConfig config,
                                  std::uint64_t seed, long run_index,
                                  const LiveGenOptions& gen) {
-  Rng rng = Rng::for_stream(socket_cell_seed(target, config, seed),
+  Rng rng = Rng::for_stream(cell_seed("socket:" + target.name, config, seed),
                             static_cast<std::uint64_t>(run_index));
   LiveRunPlan plan;
   plan.lossy = false;  // the supervisor holds copies; it never drops them
@@ -355,78 +295,25 @@ LiveFuzzReport live_fuzz_target(const FuzzTarget& target, SystemConfig config,
   report.socket_counters = cell.counters;
   if (!cell.first) return report;
 
-  LiveFinding finding = *cell.first;
-  if (options.shrink) {
-    // Shrink on the exported schedule with the kernel as the judge — but
-    // only when the defect actually reproduces under the kernel (Violation
-    // and kernel-reproducible invalidity do; a pure live/kernel divergence
-    // has no kernel predicate to preserve).
-    KernelOptions kernel_options;
-    kernel_options.model = Model::ES;
-    kernel_options.max_rounds = finding.max_rounds;
-    ShrinkTest still_fails;
-    if (finding.kind == LiveFindingKind::Violation) {
-      still_fails = [&](const SystemConfig& cfg,
-                        const std::vector<Value>& proposals,
-                        const RunSchedule& candidate) {
-        RunContext ctx(cfg, kernel_options);
-        const RunResult& r = ctx.run(target.factory, proposals, candidate);
-        return r.validation.ok() && violated(r, ctx.algorithms()).has_value();
-      };
-    } else {
-      still_fails = [&](const SystemConfig& cfg,
-                        const std::vector<Value>& proposals,
-                        const RunSchedule& candidate) {
-        RunContext ctx(cfg, kernel_options);
-        return !ctx.run(target.factory, proposals, candidate)
-                    .validation.ok();
-      };
-    }
-    if (still_fails(finding.config, finding.proposals, finding.original)) {
-      ShrinkResult shrunk = shrink_schedule(finding.config, finding.proposals,
-                                            finding.original, still_fails);
-      finding.config = shrunk.config;
-      finding.proposals = std::move(shrunk.proposals);
-      finding.schedule = std::move(shrunk.schedule);
-      finding.shrink_stats = shrunk.stats;
-      finding.planned_rounds = finding.schedule.planned_rounds();
-    }
-  }
-  report.first = std::move(finding);
-  return report;
-}
-
-ReproCase live_finding_to_repro(const FuzzTarget& target,
-                                const LiveFinding& finding,
-                                std::uint64_t seed) {
-  // Derive the claim from an actual kernel replay of the (possibly shrunk)
-  // export, so every written repro matches its own verdict by construction.
-  KernelOptions kernel_options;
-  kernel_options.model = Model::ES;
-  kernel_options.max_rounds = finding.max_rounds;
-  RunContext ctx(finding.config, kernel_options);
-  const RunResult& replay =
-      ctx.run(target.factory, finding.proposals, finding.schedule);
-
-  ReproCase repro;
-  repro.algo = target.name;
-  repro.max_rounds = finding.max_rounds;
-  repro.proposals = finding.proposals;
-  if (!replay.validation.ok()) {
-    repro.expect_invalid = true;
-  } else {
-    repro.expect_violation =
-        find_check(target.check)(replay, ctx.algorithms()).has_value();
-  }
-  repro.comment =
+  DriverOptions sweep;
+  sweep.live = true;
+  sweep.socket = options.socket;
+  sweep.algo = target.name;
+  sweep.seed = options.seed;
+  sweep.n = config.n;
+  sweep.t = config.t;
+  sweep.groups = options.groups;
+  sweep.sync = to_string(options.gen.synchronizer);
+  FuzzFinding finding = *cell.first;
+  finding.repro.comment =
       std::string("live fuzz find (") + to_string(finding.kind) + "): " +
       finding.description +
       "\nexported from a live run; not regenerable from the seed alone" +
-      "\ncampaign: fuzz_consensus --live --algo " + target.name + " --seed " +
-      std::to_string(seed) + " (run index " +
+      "\ncampaign: " + command_line(sweep) + " (run index " +
       std::to_string(finding.run_index) + ")";
-  repro.schedule = finding.schedule;
-  return repro;
+  claim_and_shrink(target, finding, options.shrink);
+  report.first = std::move(finding);
+  return report;
 }
 
 std::pair<std::string, ReproCase> live_loss_sample() {
@@ -450,16 +337,13 @@ std::pair<std::string, ReproCase> live_loss_sample() {
   const RunResult live =
       run_live(cfg, o, hr->factory, distinct_proposals(cfg.n));
 
-  ReproCase repro;
-  repro.algo = "hr";
+  ReproCase repro = live_repro(*hr, {}, live.trace);
   repro.expect_invalid = true;
-  repro.max_rounds = std::max<Round>(live.trace.rounds_executed(), 1);
   repro.comment =
       "live-fuzz corpus seed: total pre-GST loss (loss_prob=1, GST=25ms,\n"
       "round_cap=10ms) drops every cross copy of the first three rounds;\n"
       "the validator must reject the export (reliable channels).\n"
       "regenerate: fuzz_consensus --live --samples DIR";
-  repro.schedule = schedule_from_trace(live.trace);
   return {"live-loss-hr.sched", repro};
 }
 
@@ -525,12 +409,9 @@ std::pair<std::string, ReproCase> live_sharded_sample() {
         }
         return proposals;
       });
-  const RunResult& live = result.groups.at(1).result;
-
-  ReproCase repro;
-  repro.algo = "at2";
-  repro.max_rounds = std::max<Round>(live.trace.rounds_executed(), 1);
-  repro.proposals = {200, 201, 202};  // group 1's slice of the sharded run
+  // Group 1's slice of the sharded run.
+  ReproCase repro =
+      live_repro(*at2, {200, 201, 202}, result.groups.at(1).result.trace);
   repro.comment =
       "live-fuzz corpus seed: group 1 of a clean 3-group sharded socket run\n"
       "(at2, n=3 per group, 4 node endpoints).  Its envelopes shared every\n"
@@ -538,7 +419,6 @@ std::pair<std::string, ReproCase> live_sharded_sample() {
       "exists only because the demux routed correctly.  Model-valid, "
       "decides.\n"
       "regenerate: fuzz_consensus --live --samples DIR";
-  repro.schedule = schedule_from_trace(live.trace);
   return {"live-sharded-group-at2.sched", repro};
 }
 

@@ -33,10 +33,13 @@
 // --groups asks for more.
 //
 // Live runs cannot be regenerated from their index (wall-clock timing is
-// part of the input), so the lowest-index finding carries its exported
-// schedule through the campaign reduce; shrinking operates on that export
-// with the PR-2 delta-debugging shrinker whenever the defect reproduces
-// under the kernel.
+// part of the input), so a finding carries its group's export through the
+// campaign reduce, as the repro of that export (live_repro): model ES, the
+// model every live run is in, for the rounds the run executed.  The
+// lowest-index finding is then a FuzzFinding like any schedule find
+// (fuzz/fuzzer.hpp): the judge's kernel verdict on the export is its
+// claim, which may differ from the live kind, and a claimed violation or
+// invalid run is shrunk while the judge still matches it.
 
 #pragma once
 
@@ -47,7 +50,7 @@
 #include <vector>
 
 #include "fuzz/corpus.hpp"
-#include "fuzz/shrink.hpp"
+#include "fuzz/fuzzer.hpp"
 #include "fuzz/targets.hpp"
 #include "net/options_rand.hpp"
 
@@ -81,30 +84,6 @@ struct LiveFuzzOptions {
   int groups = 1;
 };
 
-enum class LiveFindingKind {
-  InvalidTrace,    ///< valid draw, but the merged trace failed validation
-  UnflaggedLoss,   ///< copies were dropped, yet the validator said OK
-  Violation,       ///< an ES-safe target broke consensus on a valid run
-  Divergence,      ///< kernel replay of the export disagreed with the run
-};
-
-const char* to_string(LiveFindingKind kind);
-
-/// One unexpected live run, carrying its exported schedule (live runs are
-/// not regenerable from the seed; the export IS the repro).
-struct LiveFinding {
-  long run_index = -1;
-  LiveFindingKind kind = LiveFindingKind::InvalidTrace;
-  std::string description;
-  SystemConfig config;
-  std::vector<Value> proposals;
-  RunSchedule schedule{SystemConfig{}};  ///< exported, post-shrink
-  RunSchedule original{SystemConfig{}};  ///< exported exactly as recorded
-  Round max_rounds = 64;     ///< kernel horizon (the run's rounds_executed)
-  ShrinkStats shrink_stats;
-  int planned_rounds = 0;
-};
-
 struct LiveFuzzReport {
   std::string target;
   SystemConfig config;
@@ -119,7 +98,7 @@ struct LiveFuzzReport {
   /// Socket campaign only: supervisor counters summed over every run, so
   /// the driver can report how much chaos the sweep actually survived.
   SocketCounters socket_counters;
-  std::optional<LiveFinding> first;  ///< lowest-index finding, minimized
+  std::optional<FuzzFinding> first;  ///< lowest-index finding
 
   /// Healthy: no findings, and every lossy run was flagged invalid.
   bool as_expected() const {
@@ -154,11 +133,12 @@ LiveRunPlan live_socket_run_plan(const FuzzTarget& target, SystemConfig config,
                                  std::uint64_t seed, long run_index,
                                  const LiveGenOptions& gen = {});
 
-/// Wraps a live finding as a corpus document (expect 'invalid' for
-/// InvalidTrace/UnflaggedLoss exports, 'violation' for Violation).
-ReproCase live_finding_to_repro(const FuzzTarget& target,
-                                const LiveFinding& finding,
-                                std::uint64_t seed);
+/// The repro of one group's live run: the target, `proposals` (empty:
+/// distinct 0..n-1) and the trace's export, under model ES when the
+/// target's own model is not ES (so an SCS target's export replays), for
+/// the rounds the run executed.  The claim is left to the judge.
+ReproCase live_repro(const FuzzTarget& target, std::vector<Value> proposals,
+                     const RunTrace& live);
 
 /// Deterministic corpus seeds, regenerable byte-for-byte:
 ///

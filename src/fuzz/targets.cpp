@@ -110,6 +110,16 @@ const FuzzTarget* find_fuzz_target(std::string_view name) {
   return nullptr;
 }
 
+std::optional<std::string> rejection(const FuzzTarget& target,
+                                     const SystemConfig& config) {
+  try {
+    target.factory(0, config);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return std::nullopt;
+}
+
 ViolationPredicate find_check(std::string_view name) {
   if (name == "consensus") return consensus_violation;
   if (name == "elimination") return elimination_violation;

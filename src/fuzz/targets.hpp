@@ -9,6 +9,10 @@
 //
 // Target names are stable strings: `.sched` repro files in tests/corpus/
 // reference them, so renaming a target orphans corpus entries.
+//
+// rejection() is the one rule for a system size a target cannot run: an
+// all-target sweep skips such a target, and shrinking a find never moves
+// to such a size.  Nothing else is skipped.
 
 #pragma once
 
@@ -55,6 +59,12 @@ const std::vector<FuzzTarget>& fuzz_targets();
 
 /// Lookup by name; nullptr when unknown.
 const FuzzTarget* find_fuzz_target(std::string_view name);
+
+/// Why `target`'s algorithm rejects `config` outright (A_{f+2} needs
+/// t < n/3, A_{t+2}^auth n > 3t): the message of the std::invalid_argument
+/// constructing it throws, or nullopt when it accepts the system.
+std::optional<std::string> rejection(const FuzzTarget& target,
+                                     const SystemConfig& config);
 
 /// Named violation predicates usable in `.sched` files:
 ///   "consensus"   - agreement, validity, or termination broken;

@@ -130,6 +130,21 @@ namespace {
 /// (a runtime bug or a dead peer thread), instead of hanging the test.
 constexpr std::chrono::seconds kScriptedWait{30};
 
+/// True when a stop drain may close a round below the n − t quorum: the
+/// run aborted, copies may be lost (loss_prob > 0), or fewer than n − t
+/// processes are neither crashed nor declared liars, which may withhold
+/// their copies.  Otherwise n − t copies are still on their way.
+bool quorum_unreachable(const DriverContext& ctx) {
+  const LiveOptions& opt = *ctx.options;
+  if (ctx.control->aborted() || opt.loss_prob > 0) return true;
+  ProcessSet silent;
+  for (const ByzantineInjection& b : opt.byzantine) silent.insert(b.event.liar);
+  for (ProcessId pid = 0; pid < ctx.config.n; ++pid) {
+    if (ctx.control->is_crashed(pid)) silent.insert(pid);
+  }
+  return ctx.config.n - silent.size() < ctx.config.n - ctx.config.t;
+}
+
 }  // namespace
 
 RoundDriver::RoundDriver(DriverContext ctx) : ctx_(std::move(ctx)) {}
@@ -270,10 +285,14 @@ void RoundDriver::collect_live(Round k) {
     if (in_round_count_ >= view.possible && floor_passed) break;
 
     if (ctx_.control->stop_requested()) {
+      // The drain valve: a scheduling-jitter bound, never a way below the
+      // n − t quorum while n − t copies can still arrive.
       if (!drain_since) {
         drain_since = now;
-      } else if (now - *drain_since >= opt.drain_wait) {
-        break;  // scheduling-jitter valve; expedited copies land in microseconds
+      } else if (now - *drain_since >= opt.drain_wait &&
+                 (in_round_count_ >= view.quorum ||
+                  quorum_unreachable(ctx_))) {
+        break;
       }
     } else {
       // The synchronizer is only consulted at or above the n − t quorum —

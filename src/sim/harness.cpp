@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace indulgence {
 
@@ -31,9 +32,11 @@ RunResult run_and_check(SystemConfig config, KernelOptions options,
                         const std::vector<Value>& proposals,
                         Adversary& adversary,
                         AlgorithmInstances* algorithms_out) {
-  Kernel kernel(config, options, factory, proposals, adversary);
-  RunResult result{kernel.run(), {}, std::nullopt, false, false, false};
-  if (algorithms_out) *algorithms_out = kernel.take_algorithms();
+  KernelScratch scratch;
+  RunResult result;
+  execute_run(config, options, factory, proposals, adversary, scratch,
+              result.trace);
+  if (algorithms_out) *algorithms_out = std::move(scratch.algorithms);
   judge_trace(result);
   return result;
 }

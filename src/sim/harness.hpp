@@ -5,7 +5,9 @@
 // against the model, and summarizes the consensus properties; and it
 // provides the classical worst-case synchronous schedules (staggered crash
 // chains, crash bursts, coordinator assassination) used by the paper's
-// complexity claims.
+// complexity claims.  Both run_and_check and RunContext run through the
+// kernel's one run path, execute_run; a one-off run gets fresh scratch
+// buffers, a sweep worker's RunContext reuses its own.
 
 #pragma once
 
@@ -48,9 +50,9 @@ void judge_trace(RunResult& result);
 /// read final Halt sets / new estimates through them).
 using AlgorithmInstances = std::vector<std::unique_ptr<RoundAlgorithm>>;
 
-/// Runs one consensus instance and checks everything.  When
-/// `algorithms_out` is non-null it receives the per-process algorithm
-/// instances, which stay valid after the run.
+/// Runs one consensus instance through execute_run, as RunContext does,
+/// and checks everything.  When `algorithms_out` is non-null it receives
+/// the per-process algorithm instances, which stay valid after the run.
 RunResult run_and_check(SystemConfig config, KernelOptions options,
                         const AlgorithmFactory& factory,
                         const std::vector<Value>& proposals,

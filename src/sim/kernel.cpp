@@ -271,33 +271,15 @@ void execute_run(const SystemConfig& config, const KernelOptions& options,
   trace.set_terminated(all_decided);
 }
 
-Kernel::Kernel(SystemConfig config, KernelOptions options,
-               AlgorithmFactory factory, std::vector<Value> proposals,
-               Adversary& adversary)
-    : config_(config),
-      options_(options),
-      factory_(std::move(factory)),
-      proposals_(std::move(proposals)),
-      adversary_(adversary) {
-  validate_run_inputs(config_, proposals_);
-}
-
-RunTrace Kernel::run() {
-  if (used_) throw std::logic_error("Kernel::run is single-shot");
-  used_ = true;
-  RunTrace trace;
-  execute_run(config_, options_, factory_, proposals_, adversary_, scratch_,
-              trace);
-  return trace;
-}
-
 RunTrace run_schedule(SystemConfig config, KernelOptions options,
                       const AlgorithmFactory& factory,
                       const std::vector<Value>& proposals,
                       const RunSchedule& schedule) {
-  ScheduleAdversary adversary(schedule);
-  Kernel kernel(config, options, factory, proposals, adversary);
-  return kernel.run();
+  ScheduleRefAdversary adversary(schedule);
+  KernelScratch scratch;
+  RunTrace trace;
+  execute_run(config, options, factory, proposals, adversary, scratch, trace);
+  return trace;
 }
 
 }  // namespace indulgence

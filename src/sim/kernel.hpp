@@ -20,6 +20,10 @@
 //
 // The kernel records everything in a RunTrace; the independent Validator
 // (validator.hpp) re-checks model conformance from the trace alone.
+//
+// execute_run is the one run path.  run_schedule below, run_and_check and
+// the campaign engine's RunContext (harness.hpp) all call it, each with a
+// KernelScratch of its own; a sweep worker reuses one across its runs.
 
 #pragma once
 
@@ -75,40 +79,16 @@ struct KernelScratch {
 
 /// Executes one run into `trace` (reset first), using `scratch` for every
 /// kernel-side buffer.  The algorithm instances of the run are left in
-/// `scratch.algorithms` for post-run inspection.  This is the reusable core
-/// that Kernel and the campaign engine's RunContext both drive.
+/// `scratch.algorithms` for post-run inspection.  This is the one run path:
+/// run_schedule, run_and_check and the campaign engine's RunContext all
+/// call it.  Throws std::invalid_argument unless there are exactly n
+/// proposals, none of them kBottom.
 void execute_run(const SystemConfig& config, const KernelOptions& options,
                  const AlgorithmFactory& factory,
                  const std::vector<Value>& proposals, Adversary& adversary,
                  KernelScratch& scratch, RunTrace& trace);
 
-class Kernel {
- public:
-  /// `proposals[i]` is process i's proposal.  The adversary is borrowed and
-  /// must outlive run().
-  Kernel(SystemConfig config, KernelOptions options, AlgorithmFactory factory,
-         std::vector<Value> proposals, Adversary& adversary);
-
-  /// Executes the run and returns its trace.  Single-shot.
-  RunTrace run();
-
-  /// After run(): the algorithm instances, for state inspection (e.g. the
-  /// elimination-property checks read each process' final new estimate).
-  std::vector<std::unique_ptr<RoundAlgorithm>> take_algorithms() {
-    return std::move(scratch_.algorithms);
-  }
-
- private:
-  SystemConfig config_;
-  KernelOptions options_;
-  AlgorithmFactory factory_;
-  std::vector<Value> proposals_;
-  Adversary& adversary_;
-  bool used_ = false;
-  KernelScratch scratch_;
-};
-
-/// Convenience wrapper: build a kernel and run a schedule in one call.
+/// Convenience wrapper: run a schedule in one call.
 RunTrace run_schedule(SystemConfig config, KernelOptions options,
                       const AlgorithmFactory& factory,
                       const std::vector<Value>& proposals,

@@ -38,9 +38,10 @@ TEST(FdProperties, StrongCompletenessAndEventualAccuracyOnRandomRuns) {
     aopt.gst = 1 + static_cast<Round>(seed % 8);
     aopt.max_delay = 3;
     RandomEsAdversary adversary(cfg, aopt, seed * 59 + 3);
-    Kernel kernel(cfg, options, at2_factory(hurfin_raynal_factory()),
-                  distinct_proposals(cfg.n), adversary);
-    const RunTrace trace = kernel.run();
+    const RunTrace trace =
+        run_and_check(cfg, options, at2_factory(hurfin_raynal_factory()),
+                      distinct_proposals(cfg.n), adversary)
+            .trace;
     ASSERT_TRUE(validate_trace(trace).ok());
 
     // After every faulty process has crashed and synchrony holds, the
@@ -75,10 +76,10 @@ TEST(FdProperties, SuspicionsAreForgivenWhenMessagesResume) {
   options.model = Model::ES;
   options.max_rounds = 8;
   options.stop_on_global_decision = false;
-  ScheduleAdversary adversary(b.build());
-  Kernel kernel(cfg, options, at2_factory(hurfin_raynal_factory()),
-                distinct_proposals(cfg.n), adversary);
-  const RunTrace trace = kernel.run();
+  const RunTrace trace =
+      run_and_check(cfg, options, at2_factory(hurfin_raynal_factory()),
+                    distinct_proposals(cfg.n), b.build())
+          .trace;
 
   const auto outputs = detector_outputs(trace, 1);
   EXPECT_TRUE(outputs[0].contains(0)) << "p0 falsely suspected in round 1";
@@ -91,10 +92,10 @@ TEST(FdProperties, NoFalseSuspicionEverInSynchronousRuns) {
   options.model = Model::ES;
   options.max_rounds = 16;
   for (const RunSchedule& s : hostile_sync_schedules(cfg, cfg.t)) {
-    ScheduleAdversary adversary(s);
-    Kernel kernel(cfg, options, at2_factory(hurfin_raynal_factory()),
-                  distinct_proposals(cfg.n), adversary);
-    const RunTrace trace = kernel.run();
+    const RunTrace trace =
+        run_and_check(cfg, options, at2_factory(hurfin_raynal_factory()),
+                      distinct_proposals(cfg.n), s)
+            .trace;
     for (ProcessId pid : trace.correct()) {
       const auto outputs = detector_outputs(trace, pid);
       for (Round k = 1; k <= trace.rounds_executed(); ++k) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/corpus.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/targets.hpp"
 #include "sim/validator.hpp"
@@ -20,7 +21,7 @@ TEST(FuzzCampaign, FindsTheTruncatedAt2QuicklyAndShrinksIt) {
   EXPECT_EQ(report.invalid_runs, 0) << "generator left the model";
   ASSERT_GT(report.violations, 0);
   ASSERT_TRUE(report.first.has_value());
-  EXPECT_LE(report.first->planned_rounds, 4);
+  EXPECT_LE(report.first->repro.schedule.planned_rounds(), 4);
   EXPECT_FALSE(report.as_expected() && target->expect_safe);
 }
 
@@ -40,9 +41,9 @@ TEST(FuzzCampaign, ReportIsIdenticalAtAnyJobCount) {
   ASSERT_EQ(a.first.has_value(), b.first.has_value());
   if (a.first) {
     EXPECT_EQ(a.first->run_index, b.first->run_index);
-    EXPECT_EQ(a.first->schedule, b.first->schedule);
+    EXPECT_EQ(a.first->repro.schedule, b.first->repro.schedule);
     EXPECT_EQ(a.first->original, b.first->original);
-    EXPECT_EQ(a.first->proposals, b.first->proposals);
+    EXPECT_EQ(a.first->repro.proposals, b.first->repro.proposals);
   }
 }
 
@@ -138,6 +139,41 @@ TEST(FuzzCampaign, AuthenticatedTargetSurvivesWhereAblationsBreak) {
     EXPECT_EQ(broken.invalid_runs, 0) << name;
     EXPECT_TRUE(broken.as_expected()) << name;
   }
+}
+
+TEST(FuzzCampaign, ByzantineFindNamesItsWholeSweep) {
+  // The regenerate line carries every non-default flag of the sweep, so
+  // running it finds the same run.
+  const FuzzTarget* target = find_fuzz_target("at2");
+  ASSERT_NE(target, nullptr);
+  FuzzOptions options;
+  options.seed = 3;
+  options.budget = 300;
+  options.gen.byz = 1;
+  const FuzzReport report =
+      fuzz_target(*target, SystemConfig{.n = 4, .t = 1}, options);
+  ASSERT_TRUE(report.first.has_value());
+  EXPECT_NE(report.first->repro.comment.find(
+                "regenerate: fuzz_consensus --algo at2 --byz 1 --n 4 --t 1 "
+                "--seed 3 (run index 1)"),
+            std::string::npos)
+      << report.first->repro.comment;
+}
+
+TEST(FuzzCampaign, ShrinkingStaysWithinSystemsTheTargetAccepts) {
+  // A_{f+2} accepts n=4 t=1 but rejects n=3 t=1: shrinking its liar find
+  // must not walk into a system its algorithm refuses to run.
+  const FuzzTarget* target = find_fuzz_target("af2");
+  ASSERT_NE(target, nullptr);
+  FuzzOptions options;
+  options.seed = 3;
+  options.budget = 300;
+  options.gen.byz = 1;
+  const FuzzReport report =
+      fuzz_target(*target, SystemConfig{.n = 4, .t = 1}, options);
+  ASSERT_TRUE(report.first.has_value());
+  EXPECT_FALSE(rejection(*target, report.first->repro.config()).has_value());
+  EXPECT_TRUE(replay_repro(*target, report.first->repro).matches());
 }
 
 TEST(FuzzCampaign, ZeroByzBudgetReproducesTheHistoricalDrawStream) {

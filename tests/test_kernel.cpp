@@ -120,34 +120,25 @@ TEST(Kernel, EsDelayedMessageArrivesLater) {
 
 TEST(Kernel, RejectsBottomProposal) {
   const SystemConfig cfg{.n = 3, .t = 1};
-  ScheduleAdversary adv(failure_free_schedule(cfg));
-  EXPECT_THROW(Kernel(cfg, scs_options(), floodset_factory(),
-                      {kBottom, 1, 2}, adv),
+  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(),
+                            {kBottom, 1, 2}, failure_free_schedule(cfg)),
                std::invalid_argument);
 }
 
 TEST(Kernel, RejectsWrongProposalCount) {
   const SystemConfig cfg{.n = 3, .t = 1};
-  ScheduleAdversary adv(failure_free_schedule(cfg));
-  EXPECT_THROW(Kernel(cfg, scs_options(), floodset_factory(), {1, 2}, adv),
+  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(), {1, 2},
+                            failure_free_schedule(cfg)),
                std::invalid_argument);
-}
-
-TEST(Kernel, RunIsSingleShot) {
-  const SystemConfig cfg{.n = 3, .t = 1};
-  ScheduleAdversary adv(failure_free_schedule(cfg));
-  Kernel kernel(cfg, scs_options(), floodset_factory(), {0, 1, 2}, adv);
-  (void)kernel.run();
-  EXPECT_THROW((void)kernel.run(), std::logic_error);
 }
 
 TEST(Kernel, DelayFateInScsIsAProgrammingError) {
   const SystemConfig cfg{.n = 3, .t = 1};
   ScheduleBuilder b(cfg);
   b.delay(0, 1, 1, 2);
-  ScheduleAdversary adv(b.build());
-  Kernel kernel(cfg, scs_options(), floodset_factory(), {0, 1, 2}, adv);
-  EXPECT_THROW((void)kernel.run(), std::logic_error);
+  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(),
+                            {0, 1, 2}, b.build()),
+               std::logic_error);
 }
 
 TEST(Kernel, UniformProposalsDecideThatValueImmediatelyAtTPlus1) {

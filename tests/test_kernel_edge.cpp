@@ -97,9 +97,10 @@ TEST(KernelEdge, SameSeedReplaysBitForBit) {
     RandomEsOptions opt;
     opt.gst = 4;
     RandomEsAdversary adversary(cfg, opt, seed);
-    Kernel kernel(cfg, es_options(), at2_factory(hurfin_raynal_factory()),
-                  distinct_proposals(cfg.n), adversary);
-    return kernel.run();
+    return run_and_check(cfg, es_options(),
+                         at2_factory(hurfin_raynal_factory()),
+                         distinct_proposals(cfg.n), adversary)
+        .trace;
   };
   const RunTrace a = run_once(12345);
   const RunTrace b = run_once(12345);

@@ -1,8 +1,9 @@
 // The live fuzz campaign: the per-run plans are a pure function of the
 // seed stream, the report's deterministic columns are identical across
 // invocations and job counts, every expected-invalid (lossy) draw is
-// flagged invalid by the validator, and the two corpus-seed repros are
-// regenerable byte-for-byte and replay to their claimed verdicts.
+// flagged invalid by the validator, the two corpus-seed repros are
+// regenerable byte-for-byte and replay to their claimed verdicts, and a
+// live or socket find is a repro that the judge replays to its claim.
 
 #include "fuzz/live_fuzzer.hpp"
 
@@ -10,10 +11,13 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
+#include "consensus/consensus.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/targets.hpp"
+#include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
@@ -162,6 +166,79 @@ TEST(LiveFuzz, SamplesMatchTheCheckedInCorpusBytes) {
         << name << " drifted; regenerate: fuzz_consensus --live --samples "
         << "tests/corpus";
   }
+}
+
+/// Decides its own proposal in round 1, so distinct proposals break
+/// agreement on every run.
+class DecideOwnProposal final : public RoundAlgorithm {
+ public:
+  void propose(Value v) override { proposal_ = v; }
+  MessagePtr message_for_round(Round) override {
+    return std::make_shared<FillerMessage>();
+  }
+  void on_round(Round, const Delivery&) override { decision_ = proposal_; }
+  std::optional<Value> decision() const override { return decision_; }
+  bool halted() const override { return false; }
+  std::string name() const override { return "decide-own"; }
+
+ private:
+  Value proposal_ = 0;
+  std::optional<Value> decision_;
+};
+
+TEST(LiveFuzz, LiveAndSocketFindsAreReprosThatReplayToTheirClaim) {
+  // An ES target that owes safety and breaks it on every valid draw: both
+  // sweeps must report findings, and the first must be a repro the judge
+  // replays to its claim, naming the sweep that found it.
+  const FuzzTarget decide_own{
+      "decide-own", "decides its own proposal in round 1", Model::ES, true,
+      "consensus",
+      [](ProcessId, const SystemConfig&) -> std::unique_ptr<RoundAlgorithm> {
+        return std::make_unique<DecideOwnProposal>();
+      }};
+  const SystemConfig cfg{.n = 3, .t = 1};
+  for (const bool socket : {false, true}) {
+    LiveFuzzOptions o = serial_options(1, socket ? 2 : 8);
+    o.socket = socket;
+    const LiveFuzzReport report = live_fuzz_target(decide_own, cfg, o);
+    EXPECT_GT(report.findings, 0) << "socket=" << socket;
+    ASSERT_TRUE(report.first.has_value()) << "socket=" << socket;
+    const ReproCase& repro = report.first->repro;
+    EXPECT_TRUE(repro.expect_violation) << repro.comment;
+    EXPECT_TRUE(replay_repro(decide_own, repro).matches()) << repro.comment;
+    const std::string campaign =
+        std::string("campaign: fuzz_consensus ") +
+        (socket ? "--socket" : "--live") + " --algo decide-own --seed 1";
+    EXPECT_NE(repro.comment.find(campaign), std::string::npos)
+        << repro.comment;
+  }
+}
+
+TEST(LiveFuzz, AnScsTargetsLiveFindReplaysUnderEs) {
+  // Every live run is an ES run, so a FloodSet export may hold delays: its
+  // repro must say `model ES`, or replaying it under FloodSet's own SCS
+  // model throws on the first delay.
+  const FuzzTarget& floodset = target("floodset");
+  const SystemConfig cfg{.n = 3, .t = 1};
+  ScheduleBuilder b(cfg);
+  b.gst(2);
+  b.delay(0, 1, 1, 2);
+  KernelOptions es;
+  es.max_rounds = 64;
+  const RunTrace trace = run_schedule(cfg, es, floodset.factory,
+                                      distinct_proposals(cfg.n), b.build());
+
+  FuzzFinding find{.run_index = 0,
+                   .kind = FindingKind::Divergence,
+                   .description = "a delayed FloodSet copy",
+                   .repro = live_repro(floodset, distinct_proposals(cfg.n),
+                                       trace)};
+  ASSERT_EQ(find.repro.schedule.plan(1).fate(0, 1).kind, FateKind::Delay);
+  claim_and_shrink(floodset, find, /*shrink=*/true);
+  EXPECT_EQ(find.repro.model, Model::ES);
+  EXPECT_TRUE(replay_repro(floodset, find.repro).matches());
+  const ReproCase reparsed = parse_repro(print_repro(find.repro));
+  EXPECT_TRUE(replay_repro("live-floodset.sched", reparsed).matches());
 }
 
 }  // namespace

@@ -50,6 +50,13 @@ struct DriverRig {
     options.drain_wait = std::chrono::microseconds{1'000};
   }
 
+  /// Peer `pid`'s round-1 copy, as the hr algorithm would send it.
+  NetEnvelope round1_copy(ProcessId pid) const {
+    auto alg = find_fuzz_target("hr")->factory(pid, config);
+    alg->propose(40 + pid);
+    return NetEnvelope{pid, 1, 1, 0, alg->message_for_round(1)};
+  }
+
   DriverContext context() {
     DriverContext ctx;
     ctx.self = 0;
@@ -95,6 +102,9 @@ TEST(RoundDriver, BeforeSendCrashOnTheCommittedStopRoundIsSuppressed) {
   rig.control.report_crash(2);
   rig.control.force_stop(true);
   rig.options.crashes.push_back(CrashInjection{0, 1, true});
+  // Peer 1 committed to round 1, so its round-1 copy comes: the drain
+  // waits for the n − t quorum while it can still arrive.
+  rig.mailbox.push(rig.round1_copy(1));
 
   RoundDriver driver(rig.context());
   driver.run();
@@ -114,14 +124,9 @@ TEST(RoundDriver, DuplicateCopiesDoNotCloseTheQuorumGateEarly) {
   // copies of p1's round-1 message looked like a full set of 3 and closed
   // the round with p2 unread — one real sender short.
   DriverRig rig;
-  const auto peer_message = [&](ProcessId pid) {
-    auto alg = find_fuzz_target("hr")->factory(pid, rig.config);
-    alg->propose(40 + pid);
-    return alg->message_for_round(1);
-  };
-  rig.mailbox.push(NetEnvelope{1, 1, 1, 0, peer_message(1)});
-  rig.mailbox.push(NetEnvelope{1, 1, 1, 0, peer_message(1)});  // the resend
-  rig.mailbox.push(NetEnvelope{2, 1, 1, 0, peer_message(2)});
+  rig.mailbox.push(rig.round1_copy(1));
+  rig.mailbox.push(rig.round1_copy(1));  // the resend
+  rig.mailbox.push(rig.round1_copy(2));
 
   DriverContext ctx = rig.context();
   ctx.fixed_rounds = 1;  // exactly one round; no armed-stop interference
@@ -144,6 +149,30 @@ TEST(RoundDriver, DuplicateCopiesDoNotCloseTheQuorumGateEarly) {
     seen[d.sender] = true;
   }
   EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
+}
+
+TEST(RoundDriver, StopDrainWaitsForTheQuorumWhileItCanStillArrive) {
+  // The stop lands while p0 holds only its own round-1 copy, and peer 1's
+  // copy (peer 1 committed to round 1) takes 20 ms, far past the 1 ms
+  // drain valve.  Two of three processes are live and honest, so the n − t
+  // quorum can still arrive: the round must close on both copies, not on
+  // the self copy alone when the valve opens.
+  DriverRig rig;
+  EXPECT_FALSE(rig.control.boundary(1, 1));
+  rig.control.report_crash(2);
+  rig.control.force_stop(true);
+  rig.mailbox.push_at(rig.round1_copy(1),
+                      std::chrono::steady_clock::now() + 20ms);
+
+  RoundDriver driver(rig.context());
+  driver.run();
+  ASSERT_EQ(driver.error(), nullptr);
+  EXPECT_EQ(driver.log().completed, 1);
+  int in_round = 0;
+  for (const DeliveryRecord& d : driver.log().deliveries) {
+    if (d.recv_round == 1 && d.send_round == 1) ++in_round;
+  }
+  EXPECT_EQ(in_round, 2);
 }
 
 TEST(RoundDriver, CrashAfterArmingReleasesItsStopRoundCandidate) {

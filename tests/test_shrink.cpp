@@ -80,7 +80,7 @@ TEST(Shrink, ResultIsOneMinimal) {
   options.campaign.jobs = 1;
   const FuzzReport report = fuzz_target(*target, cfg, options);
   ASSERT_TRUE(report.first.has_value()) << "fuzzer must find the known bug";
-  const FuzzFinding& find = *report.first;
+  const ReproCase& find = report.first->repro;
 
   KernelOptions kernel;
   kernel.model = target->model;
@@ -95,9 +95,10 @@ TEST(Shrink, ResultIsOneMinimal) {
   };
 
   // The minimized schedule still fails...
-  ASSERT_TRUE(fails(find.config, find.proposals, find.schedule));
-  EXPECT_LE(find.planned_rounds, 4);
-  EXPECT_LE(total_events(find.schedule), total_events(find.original));
+  ASSERT_TRUE(fails(find.config(), find.proposals, find.schedule));
+  EXPECT_LE(find.schedule.planned_rounds(), 4);
+  EXPECT_LE(total_events(find.schedule),
+            total_events(report.first->original));
 
   // ...and every single-event deletion un-breaks it.
   for (Round k = 1; k <= find.schedule.last_planned_round(); ++k) {
@@ -112,7 +113,7 @@ TEST(Shrink, ResultIsOneMinimal) {
         rebuilt.set_fate(o.sender, o.receiver, o.fate);
       }
       candidate.plan(k) = rebuilt;
-      EXPECT_FALSE(fails(find.config, find.proposals, candidate))
+      EXPECT_FALSE(fails(find.config(), find.proposals, candidate))
           << "crash " << i << " of round " << k << " is not load-bearing";
     }
     for (std::size_t i = 0; i < plan.overrides().size(); ++i) {
@@ -127,7 +128,7 @@ TEST(Shrink, ResultIsOneMinimal) {
         }
       }
       candidate.plan(k) = rebuilt;
-      EXPECT_FALSE(fails(find.config, find.proposals, candidate))
+      EXPECT_FALSE(fails(find.config(), find.proposals, candidate))
           << "override " << i << " of round " << k << " is not load-bearing";
     }
   }
