@@ -12,23 +12,9 @@
 #include "bench_util.hpp"
 #include "consensus/floodset.hpp"
 #include "consensus/floodset_ws.hpp"
+#include "core/price.hpp"
 #include "lb/attack.hpp"
 #include "lb/explorer.hpp"
-
-namespace indulgence {
-namespace {
-
-AlgorithmFactory at2_truncated() {
-  return [](ProcessId self, const SystemConfig& config)
-             -> std::unique_ptr<RoundAlgorithm> {
-    At2Options o;
-    o.phase1_rounds = config.t;  // "A_{t+1}": one Phase-1 round short
-    return std::make_unique<At2>(self, config, hurfin_raynal_factory(), o);
-  };
-}
-
-}  // namespace
-}  // namespace indulgence
 
 int main() {
   using namespace indulgence;
@@ -55,14 +41,16 @@ int main() {
     const std::vector<Candidate> candidates = {
         {"FloodSet-in-ES (t+1)", floodset_factory(), true},
         {"FloodSetWS-in-ES (t+1)", floodset_ws_factory(), true},
-        {"A_{t+2} truncated (t+1)", at2_truncated(), true},
+        {"A_{t+2} truncated (t+1)",
+         at2_truncated_factory(hurfin_raynal_factory()), true},
         {"A_{t+2} (t+2)", bench::default_at2(), false},
     };
     for (const Candidate& c : candidates) {
       SyncRunExplorer explorer(cfg, c.factory, distinct_proposals(n));
       const auto sync = explorer.explore(cfg.t + 2, /*max_rounds=*/64,
                                          campaign);
-      const bool fast = sync.max_decision_round <= cfg.t + 1;
+      const bool fast = sync.max_decision_round <
+                        price(PriceRow::LowerBound, cfg, cfg.t).round;
 
       AttackOptions options;
       options.action_rounds = cfg.t + 2;
@@ -84,7 +72,8 @@ int main() {
     AttackOptions options;
     options.campaign = campaign;
     const AttackResult attack =
-        search_agreement_violation(cfg, at2_truncated(), options);
+        search_agreement_violation(
+            cfg, at2_truncated_factory(hurfin_raynal_factory()), options);
     total_runs += attack.runs_tried;
     if (attack.violation_found) {
       std::cout << "Example counterexample against the truncated A_{t+2} "

@@ -14,6 +14,7 @@
 #include <set>
 
 #include "bench_util.hpp"
+#include "core/price.hpp"
 
 int main() {
   using namespace indulgence;
@@ -88,8 +89,9 @@ int main() {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     const Row& row = rows[i];
+    const Price paper = price(PriceRow::At2, cell.cfg, cell.crashes);
     const bool round_ok =
-        row.min_round >= cell.cfg.t + 2 && row.max_round <= cell.cfg.t + 3;
+        row.min_round >= paper.round && row.max_round <= paper.latest();
     ok &= row.runs_ok && round_ok && row.agreement && row.elimination;
     total_runs += row.count;
     table.add(cell.cfg.n, cell.cfg.t, cell.crashes, row.count, row.min_round,

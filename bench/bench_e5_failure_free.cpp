@@ -6,6 +6,7 @@
 // moment any suspicion appears in round 1.
 
 #include "bench_util.hpp"
+#include "core/price.hpp"
 
 int main() {
   using namespace indulgence;
@@ -24,6 +25,8 @@ int main() {
   for (const SystemConfig cfg :
        {SystemConfig{5, 2}, SystemConfig{7, 3}, SystemConfig{9, 4},
         SystemConfig{13, 6}}) {
+    const Round fast = price(PriceRow::At2FailureFree, cfg, 0).round;
+    const Price at2 = price(PriceRow::At2, cfg, cfg.t);
     struct Case {
       std::string scenario;
       RunSchedule schedule;
@@ -34,15 +37,15 @@ int main() {
     };
     const std::vector<Case> cases = {
         {"failure-free", failure_free_schedule(cfg), "A_{t+2}+ff",
-         at2_factory(hurfin_raynal_factory(), ff), 2, 2},
+         at2_factory(hurfin_raynal_factory(), ff), fast, fast},
         {"failure-free", failure_free_schedule(cfg), "A_{t+2} (no opt)",
-         bench::default_at2(), cfg.t + 2, cfg.t + 2},
+         bench::default_at2(), at2.round, at2.round},
         {"one silent crash r1", crash_burst_schedule(cfg, 1, 1, true),
-         "A_{t+2}+ff", at2_factory(hurfin_raynal_factory(), ff), cfg.t + 2,
-         cfg.t + 3},
+         "A_{t+2}+ff", at2_factory(hurfin_raynal_factory(), ff), at2.round,
+         at2.latest()},
         {"staggered chain", staggered_chain_schedule(cfg, cfg.t),
-         "A_{t+2}+ff", at2_factory(hurfin_raynal_factory(), ff), cfg.t + 2,
-         cfg.t + 3},
+         "A_{t+2}+ff", at2_factory(hurfin_raynal_factory(), ff), at2.round,
+         at2.latest()},
     };
     for (const Case& c : cases) {
       RunResult r = run_and_check(cfg, bench::es_options(), c.factory,

@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "core/at2_ds.hpp"
+#include "core/price.hpp"
 
 int main() {
   using namespace indulgence;
@@ -54,25 +55,19 @@ int main() {
              "match"});
     for (const SystemConfig cfg :
          {SystemConfig{5, 2}, SystemConfig{7, 3}, SystemConfig{9, 4}}) {
-      Round worst = 0;
-      for (int crashes = 0; crashes <= cfg.t; ++crashes) {
-        for (const RunSchedule& s : hostile_sync_schedules(cfg, crashes)) {
-          RunResult r = run_and_check(
+      const Round worst =
+          worst_case_sync_decision_round(
               cfg, bench::es_options(),
               at2_ds_factory(hurfin_raynal_factory(),
                              receipt_detector_factory()),
-              distinct_proposals(cfg.n), s);
-          if (!r.ok()) {
-            std::cout << "RUN FAILED: " << r.summary() << "\n";
-            return 1;
-          }
-          worst = std::max(worst, *r.global_decision_round);
-        }
-      }
-      const bool match = worst >= cfg.t + 2 && worst <= cfg.t + 3;
+              all_hostile_sync_schedules(cfg), {distinct_proposals(cfg.n)})
+              .max_round;
+      const Price paper = price(PriceRow::At2DS, cfg, cfg.t);
+      const bool match = worst >= paper.round && worst <= paper.latest();
       ok &= match;
       t.add(cfg.n, cfg.t, worst,
-            std::to_string(cfg.t + 2) + ".." + std::to_string(cfg.t + 3),
+            std::to_string(paper.round) + ".." +
+                std::to_string(paper.latest()),
             bench::check_mark(match));
     }
     t.print(std::cout, "E6.B: A_<>S fast decision in synchronous runs");

@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "consensus/floodset_early.hpp"
 #include "core/af2.hpp"
+#include "core/price.hpp"
 #include "lb/attack.hpp"
 #include "lb/explorer.hpp"
 
@@ -29,27 +30,21 @@ int main() {
 
   Table table({"f", "A_{f+2} worst (ES)", "f+2", "FloodSetEarly worst (SCS)",
                "min(f+2,t+1)", "A_{t+2} worst", "t+2", "match"});
+  const Price at2 = price(PriceRow::At2, cfg, cfg.t);
   for (int f = 0; f <= cfg.t; ++f) {
-    Round worst_af2 = 0, worst_at2 = 0, worst_early = 0;
-    for (const RunSchedule& s : hostile_sync_schedules(cfg, f)) {
-      if (s.last_planned_round() > f + 1) continue;  // f crashes after k=0
-      RunResult a = run_and_check(cfg, bench::es_options(), af2_factory(),
-                                  distinct_proposals(cfg.n), s);
-      RunResult b = run_and_check(cfg, bench::es_options(),
-                                  bench::default_at2(),
-                                  distinct_proposals(cfg.n), s);
-      RunResult e = run_and_check(cfg, bench::es_options(),
-                                  floodset_early_factory(),
-                                  distinct_proposals(cfg.n), s);
-      if (!a.ok() || !b.ok() || !e.ok()) {
-        std::cout << "RUN FAILED\n" << a.summary() << "\n" << b.summary()
-                  << "\n" << e.summary() << "\n";
-        return 1;
-      }
-      worst_af2 = std::max(worst_af2, *a.global_decision_round);
-      worst_at2 = std::max(worst_at2, *b.global_decision_round);
-      worst_early = std::max(worst_early, *e.global_decision_round);
-    }
+    std::vector<RunSchedule> schedules = hostile_sync_schedules(cfg, f);
+    std::erase_if(schedules, [&](const RunSchedule& s) {
+      return s.last_planned_round() > f + 1;  // f crashes after k = 0
+    });
+    auto worst = [&](const AlgorithmFactory& factory) {
+      return worst_case_sync_decision_round(cfg, bench::es_options(),
+                                            factory, schedules,
+                                            {distinct_proposals(cfg.n)})
+          .max_round;
+    };
+    Round worst_af2 = worst(af2_factory());
+    const Round worst_at2 = worst(bench::default_at2());
+    Round worst_early = worst(floodset_early_factory());
     // Exhaustive delivery search for the single-crash case.
     if (f == 1) {
       const WorstCaseResult w = worst_case_over_deliveries(
@@ -62,12 +57,13 @@ int main() {
       worst_early = std::max(worst_early, we.worst_decision_round);
       ok &= we.all_ok;
     }
-    const Round early_bound = std::min(f + 2, cfg.t + 1);
-    const bool match = worst_af2 <= f + 2 && worst_at2 >= cfg.t + 2 &&
-                       worst_at2 <= cfg.t + 3 && worst_early <= early_bound;
+    const Round af2_bound = price(PriceRow::Af2, cfg, f).round;
+    const Round early_bound = price(PriceRow::FloodSetEarly, cfg, f).round;
+    const bool match = worst_af2 <= af2_bound && worst_at2 >= at2.round &&
+                       worst_at2 <= at2.latest() && worst_early <= early_bound;
     ok &= match;
-    table.add(f, worst_af2, f + 2, worst_early, early_bound, worst_at2,
-              cfg.t + 2, bench::check_mark(match));
+    table.add(f, worst_af2, af2_bound, worst_early, early_bound, worst_at2,
+              at2.round, bench::check_mark(match));
   }
   table.print(std::cout,
               "E7.A: early decision, n = 10, t = 3 (crashes within the "
@@ -79,14 +75,8 @@ int main() {
   // realizes it; rerun the t' = f = 1 instance here for the record.
   {
     const SystemConfig small{.n = 3, .t = 1};
-    AlgorithmFactory truncated =
-        [](ProcessId self,
-           const SystemConfig& config) -> std::unique_ptr<RoundAlgorithm> {
-      At2Options o;
-      o.phase1_rounds = config.t;
-      return std::make_unique<At2>(self, config, hurfin_raynal_factory(), o);
-    };
-    const AttackResult attack = search_agreement_violation(small, truncated);
+    const AttackResult attack = search_agreement_violation(
+        small, at2_truncated_factory(hurfin_raynal_factory()));
     ok &= attack.violation_found;
     Table t({"candidate", "f", "decides by", "ES violation found"});
     t.add("truncated A_{t+2}", 1, "f+1",

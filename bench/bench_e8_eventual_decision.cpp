@@ -12,93 +12,38 @@
 #include "bench_util.hpp"
 #include "consensus/amr_leader.hpp"
 #include "core/af2.hpp"
+#include "core/price.hpp"
 #include "lb/explorer.hpp"
 
 namespace indulgence {
 namespace {
 
-// The camp-splitting asynchronous prefix for n = 8, t = 2.  Rounds 1..k:
-// camp A = {p0, p6, p7} converges on value 0, camp B = {p1..p5} on value 1.
-// Each camp-A receiver misses p1 and p2's round message; each camp-B
-// receiver misses p0 and p6's (exactly t = 2 per receiver, so t-resilience
-// holds).  Camp A's lowest-(n-t) view then splits 3/3 — below the
-// n-2t = 4 adoption threshold and with minimum 0, so both the AMR
-// keep-own rule and A_{f+2}'s min rule retain value 0 — while camp B sees
-// five copies of 1 plus p7's 0: adopted, but never unanimous.  Both
+// The camp-splitting asynchronous prefix (camp_split_prefix) for n = 8,
+// t = 2.  Rounds 1..k: camp A = {p0, p6, p7} converges on value 0, camp
+// B = {p1..p5} on value 1.  Each camp-A receiver misses p1 and p2's round
+// message; each camp-B receiver misses p0 and p6's (exactly t = 2 per
+// receiver, so t-resilience holds).  Camp A's lowest-(n-t) view then splits
+// 3/3 — below the n-2t = 4 adoption threshold and with minimum 0, so both
+// the AMR keep-own rule and A_{f+2}'s min rule retain value 0 — while camp
+// B sees five copies of 1 plus p7's 0: adopted, but never unanimous.  Both
 // algorithms are pinned undecided until GST, as Lemma 15's "synchronous
 // after round k" scenario requires, and crucially the two lowest-id
 // processes (AMR's first two leaders) hold DIFFERENT values at GST, so
 // post-GST leader crashes genuinely cost attempts.
-void add_blocking_prefix(ScheduleBuilder& b, const SystemConfig& cfg,
-                         Round k) {
-  const ProcessSet camp_a{0, 6, 7};
-  for (Round r = 1; r <= k; ++r) {
-    for (ProcessId receiver = 0; receiver < cfg.n; ++receiver) {
-      const bool in_a = camp_a.contains(receiver);
-      const ProcessId h1 = in_a ? 1 : 0;
-      const ProcessId h2 = in_a ? 2 : 6;
-      if (receiver != h1) b.delay(h1, receiver, r, k + 1);
-      if (receiver != h2) b.delay(h2, receiver, r, k + 1);
-    }
-  }
-}
-
-/// Blocking prefix (rounds 1..k) + the given crash slots after GST = k+1,
-/// with crash delivery patterns left to the search.
-Round worst_with_prefix(const SystemConfig& cfg,
-                        const AlgorithmFactory& factory, Round k,
-                        const std::vector<CrashSlot>& slots, bool& all_ok) {
-  KernelOptions options = bench::es_options();
-
-  const int bits = cfg.n - 1;
-  const long patterns = 1L << (bits * static_cast<int>(slots.size()));
-  const long cap = 1L << 15;
-  Rng rng(2024);
-  Round worst = 0;
-
-  auto evaluate = [&](std::uint64_t packed) {
-    ScheduleBuilder b(cfg);
-    b.gst(k + 1);
-    add_blocking_prefix(b, cfg, k);
-    std::uint64_t cursor = packed;
-    for (const CrashSlot& slot : slots) {
-      ProcessSet delivered;
-      int bit = 0;
-      for (ProcessId pid = 0; pid < cfg.n; ++pid) {
-        if (pid == slot.victim) continue;
-        if ((cursor >> bit) & 1u) delivered.insert(pid);
-        ++bit;
-      }
-      cursor >>= bits;
-      if (delivered.empty()) {
-        b.crash(slot.victim, k + slot.round, true);
-      } else {
-        b.crash(slot.victim, k + slot.round);
-        ProcessSet lost = ProcessSet::all(cfg.n) - delivered;
-        lost.erase(slot.victim);
-        b.losing_to(slot.victim, k + slot.round, lost);
-      }
-    }
-    RunResult r = run_and_check(cfg, options, factory,
-                                distinct_proposals(cfg.n), b.build());
-    if (!r.ok()) {
-      all_ok = false;
-      return;
-    }
-    worst = std::max(worst, *r.global_decision_round);
-  };
-
-  if (patterns <= cap) {
-    for (std::uint64_t p = 0; p < static_cast<std::uint64_t>(patterns); ++p) {
-      evaluate(p);
-    }
-  } else {
-    for (long i = 0; i < cap; ++i) {
-      evaluate(rng.next_u64() &
-               ((std::uint64_t{1} << (bits * slots.size())) - 1));
-    }
-  }
-  return worst;
+//
+// The crash slots sit in AMR's adopt rounds after GST = k + 1, with their
+// delivery patterns left to the search.
+WorstCaseResult worst_with_prefix(const SystemConfig& cfg,
+                                  const AlgorithmFactory& factory, Round k,
+                                  int f) {
+  ScheduleBuilder prefix(cfg);
+  camp_split_prefix(prefix, cfg, k, ProcessSet{0, 6, 7});
+  std::vector<CrashSlot> slots;
+  for (int a = 0; a < f; ++a) slots.push_back({a, k + 2 * a + 1});
+  return worst_case_over_deliveries(
+      cfg, factory, distinct_proposals(cfg.n), slots,
+      /*exhaustive_limit=*/1 << 15, /*samples=*/1 << 15, /*seed=*/2024,
+      /*max_rounds=*/256, bench::bench_campaign(), &prefix);
 }
 
 }  // namespace
@@ -118,20 +63,18 @@ int main() {
                "match"});
   for (Round k : {0, 2, 4, 6, 8}) {
     for (int f = 0; f <= cfg.t; ++f) {
-      // Crash slots in AMR's adopt rounds (relative to GST).
-      std::vector<CrashSlot> slots;
-      for (int a = 0; a < f; ++a) {
-        slots.push_back({a, 2 * a + 1});
-      }
-      bool all_ok = true;
-      const Round af2 =
-          worst_with_prefix(cfg, af2_factory(), k, slots, all_ok);
-      const Round amr =
-          worst_with_prefix(cfg, amr_leader_factory(), k, slots, all_ok);
+      const WorstCaseResult af2 = worst_with_prefix(cfg, af2_factory(), k, f);
+      const WorstCaseResult amr =
+          worst_with_prefix(cfg, amr_leader_factory(), k, f);
+      const Round af2_bound = price(PriceRow::Af2, cfg, f, k).round;
+      const Round amr_bound = price(PriceRow::Amr, cfg, f, k).round;
+      const bool all_ok = af2.all_ok && amr.all_ok;
       ok &= all_ok;
-      const bool match = all_ok && af2 <= k + f + 2 && amr == k + 2 * f + 2;
+      const bool match = all_ok && af2.worst_decision_round <= af2_bound &&
+                         amr.worst_decision_round == amr_bound;
       ok &= match;
-      table.add(k, f, af2, k + f + 2, amr, k + 2 * f + 2,
+      table.add(k, f, af2.worst_decision_round, af2_bound,
+                amr.worst_decision_round, amr_bound,
                 bench::check_mark(match));
     }
   }

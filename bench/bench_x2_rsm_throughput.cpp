@@ -89,7 +89,7 @@ int main() {
       {"A_{t+2}+ff, window 2", at2_factory(hurfin_raynal_factory(), ff), 2},
       {"A_{t+2}, window 1", at2_factory(hurfin_raynal_factory()), 1},
       {"A_{t+2}, window t+3", at2_factory(hurfin_raynal_factory()),
-       static_cast<Round>(cfg.t + 3)},
+       0},  // 0 selects the RSM's default window, t + 3
       {"HurfinRaynal, window 2", hurfin_raynal_factory(), 2},
   };
   const std::vector<std::string> scenarios = {"failure-free", "crash p0 @ r3",

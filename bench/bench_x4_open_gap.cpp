@@ -14,100 +14,34 @@
 // between the k+f+2 lower bound and the best measured algorithm is the
 // open territory.
 
+#include <sstream>
+
 #include "bench_util.hpp"
 #include "consensus/chandra_toueg.hpp"
+#include "core/price.hpp"
 #include "lb/explorer.hpp"
 
 namespace indulgence {
 namespace {
 
 // n = 5, t = 2 (n/3 <= t < n/2): every receiver may miss at most 2 senders
-// per round.  Camps: A = {p0, p4} holds value 0, B = {p1, p2, p3} holds 1.
-// Camp-A receivers miss p1, p2; camp-B receivers miss p0, p4.  Every
-// receiver gets exactly n - t = 3 current-round messages.
-void add_blocking_prefix(ScheduleBuilder& b, const SystemConfig& cfg,
-                         Round k) {
-  const ProcessSet camp_a{0, 4};
-  for (Round r = 1; r <= k; ++r) {
-    for (ProcessId receiver = 0; receiver < cfg.n; ++receiver) {
-      const bool in_a = camp_a.contains(receiver);
-      const ProcessId h1 = in_a ? 1 : 0;
-      const ProcessId h2 = in_a ? 2 : 4;
-      if (receiver != h1) b.delay(h1, receiver, r, k + 1);
-      if (receiver != h2) b.delay(h2, receiver, r, k + 1);
-    }
-  }
-}
-
-// Partial statistics of one chunk of the delivery-pattern sweep.  `worst`
-// merges by plain max and the flags by AND, so the merged result is the
-// same at any chunking and job count.
-struct GapStats {
-  Round worst = 0;
-  bool blocked_until_gst = true;
-  bool all_ok = true;
-  long runs = 0;
-
-  void merge(const GapStats& other) {
-    worst = std::max(worst, other.worst);
-    blocked_until_gst &= other.blocked_until_gst;
-    all_ok &= other.all_ok;
-    runs += other.runs;
-  }
-};
-
-GapStats worst_decision(const SystemConfig& cfg,
-                        const AlgorithmFactory& factory, Round k, int f,
-                        const CampaignOptions& campaign) {
-  const int bits = cfg.n - 1;
-  const std::uint64_t patterns = f > 0 ? (1ULL << (bits * f)) : 1;
-  return parallel_reduce(
-      static_cast<long>(patterns), campaign.resolved_chunk(32),
-      campaign.resolved_jobs(), GapStats{},
-      [&](long /*chunk*/, long begin, long end) {
-        GapStats partial;
-        RunContext ctx(cfg, bench::es_options(512));
-        for (long index = begin; index < end; ++index) {
-          const std::uint64_t packed = static_cast<std::uint64_t>(index);
-          ScheduleBuilder b(cfg);
-          b.gst(k + 1);
-          add_blocking_prefix(b, cfg, k);
-          std::uint64_t cursor = packed;
-          for (int a = 0; a < f; ++a) {
-            const ProcessId victim = a;  // p0 then p1: the camp leaders
-            ProcessSet delivered;
-            int bit = 0;
-            for (ProcessId pid = 0; pid < cfg.n; ++pid) {
-              if (pid == victim) continue;
-              if ((cursor >> bit) & 1u) delivered.insert(pid);
-              ++bit;
-            }
-            cursor >>= bits;
-            const Round crash_round = k + 2 * a + 1;
-            if (delivered.empty()) {
-              b.crash(victim, crash_round, true);
-            } else {
-              b.crash(victim, crash_round);
-              ProcessSet lost = ProcessSet::all(cfg.n) - delivered;
-              lost.erase(victim);
-              b.losing_to(victim, crash_round, lost);
-            }
-          }
-          const RunSchedule schedule = b.build();
-          const RunResult& r =
-              ctx.run(factory, distinct_proposals(cfg.n), schedule);
-          ++partial.runs;
-          if (!r.ok()) {
-            partial.all_ok = false;
-            continue;
-          }
-          partial.worst = std::max(partial.worst, *r.global_decision_round);
-          if (*r.global_decision_round <= k && k > 2) {
-            partial.blocked_until_gst = false;
-          }
-        }
-        return partial;
-      });
+// per round.  Camps (camp_split_prefix): A = {p0, p4} holds value 0, B =
+// {p1, p2, p3} holds 1.  Camp-A receivers miss p1, p2; camp-B receivers
+// miss p0, p4.  Every receiver gets exactly n - t = 3 current-round
+// messages.  After GST = k + 1, p0 then p1 (the camp leaders) crash at
+// rounds k + 1 and k + 3, every delivery pattern of their last message
+// searched.
+WorstCaseResult worst_decision(const SystemConfig& cfg,
+                               const AlgorithmFactory& factory, Round k, int f,
+                               const CampaignOptions& campaign) {
+  ScheduleBuilder prefix(cfg);
+  camp_split_prefix(prefix, cfg, k, ProcessSet{0, 4});
+  std::vector<CrashSlot> slots;
+  for (int a = 0; a < f; ++a) slots.push_back({a, k + 2 * a + 1});
+  return worst_case_over_deliveries(
+      cfg, factory, distinct_proposals(cfg.n), slots,
+      /*exhaustive_limit=*/1 << 16, /*samples=*/4096, /*seed=*/1,
+      /*max_rounds=*/512, campaign, &prefix);
 }
 
 }  // namespace
@@ -141,19 +75,17 @@ int main() {
   for (const Row& row : rows) {
     for (Round k : {0, 3, 6}) {
       for (int f = 0; f <= cfg.t; ++f) {
-        const GapStats stats =
+        const WorstCaseResult stats =
             worst_decision(cfg, row.factory, k, f, campaign);
         ok &= stats.all_ok;
         total_runs += stats.runs;
-        const Round worst = stats.worst;
-        const Round bound = k + f + 2;
+        const Round worst = stats.worst_decision_round;
+        const Round bound = price(PriceRow::LowerBound, cfg, f, k).round;
         const bool early = worst < k + 2;
-        std::string overshoot = "0";
-        if (worst > bound) {
-          overshoot = "+";
-          overshoot += std::to_string(worst - bound);
-        }
-        table.add(row.name, k, f, worst, bound, overshoot,
+        std::ostringstream excess;
+        if (worst > bound) excess << '+';
+        excess << std::max(worst - bound, 0);
+        table.add(row.name, k, f, worst, bound, excess.str(),
                   early ? "decided inside the async prefix" : "");
       }
     }

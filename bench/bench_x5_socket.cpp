@@ -6,7 +6,7 @@
 // supervised endpoint per replica over Unix-domain sockets or TCP loopback.
 // Each transport runs clean and then under the seeded wire-chaos layer
 // (connect failures, accepted-then-closed, resets, stalls, short writes for
-// the first 2 ms), which is where the supervisor earns its
+// the first 50 ms), which is where the supervisor earns its
 // keep: commits must keep landing and the merged trace must still pass the
 // unchanged model validator, with the reconnect/backoff work showing up as
 // counters, not as lost commands.

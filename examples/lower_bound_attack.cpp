@@ -16,13 +16,9 @@ int main() {
   using namespace indulgence;
   const SystemConfig config{.n = 3, .t = 1};
 
+  // Decides at t+1: one round too greedy.
   const AlgorithmFactory too_fast =
-      [](ProcessId self,
-         const SystemConfig& cfg) -> std::unique_ptr<RoundAlgorithm> {
-    At2Options options;
-    options.phase1_rounds = cfg.t;  // decide at t+1: one round too greedy
-    return std::make_unique<At2>(self, cfg, hurfin_raynal_factory(), options);
-  };
+      at2_truncated_factory(hurfin_raynal_factory());
 
   std::cout << "Hunting for an agreement violation against the t+1-round "
                "strawman...\n";

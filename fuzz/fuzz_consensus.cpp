@@ -157,10 +157,9 @@ std::optional<std::chrono::steady_clock::time_point> wall_deadline(
 /// Reports a find on stderr and, with --out, writes its repro.
 void emit_find(const DriverOptions& opts, const FuzzFinding& find) {
   const std::string& name = find.repro.algo;
-  std::cerr << name << ": run " << find.run_index << " -> "
-            << (opts.live ? "[" + std::string(to_string(find.kind)) + "] "
-                          : "")
-            << find.description << " (shrink " << find.shrink_stats.accepted
+  std::cerr << name << ": run " << find.run_index << " -> ";
+  if (opts.live) std::cerr << "[" << to_string(find.kind) << "] ";
+  std::cerr << find.description << " (shrink " << find.shrink_stats.accepted
             << "/" << find.shrink_stats.attempts << " reductions)\n";
   if (opts.out_dir) {
     write_repro(*opts.out_dir, (opts.live ? "live-" : "") + name + ".sched",

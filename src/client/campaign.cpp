@@ -12,9 +12,8 @@ namespace {
 /// the log outlives any run the round cap admits.
 RsmOptions derive_rsm(const CampaignConfig& config) {
   RsmOptions rsm = config.rsm;
-  const Round window =
-      rsm.slot_window > 0 ? rsm.slot_window : config.config.t + 3;
-  const long steps = config.live.max_rounds / window + 2;
+  const long steps =
+      config.live.max_rounds / resolved_slot_window(rsm, config.config) + 2;
   rsm.num_slots = static_cast<int>(
       std::min<long>(steps * rsm.slot_burst, 100'000'000));
   return rsm;

@@ -221,4 +221,13 @@ AlgorithmFactory at2_factory(AlgorithmFactory underlying_factory,
   };
 }
 
+AlgorithmFactory at2_truncated_factory(AlgorithmFactory underlying_factory) {
+  return [underlying_factory = std::move(underlying_factory)](
+             ProcessId self,
+             const SystemConfig& config) -> std::unique_ptr<RoundAlgorithm> {
+    return std::make_unique<At2>(self, config, underlying_factory,
+                                 At2Options{.phase1_rounds = config.t});
+  };
+}
+
 }  // namespace indulgence

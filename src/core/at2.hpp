@@ -203,4 +203,9 @@ class At2 : public ConsensusBase {
 AlgorithmFactory at2_factory(AlgorithmFactory underlying_factory,
                              At2Options options = {});
 
+/// The impossible "A_{t+1}": A_{t+2} with Phase 1 cut to t rounds, so it
+/// decides at t + 1 in synchronous runs, a round before the R1 lower bound,
+/// and an ES run breaks its agreement (Proposition 1).
+AlgorithmFactory at2_truncated_factory(AlgorithmFactory underlying_factory);
+
 }  // namespace indulgence

@@ -86,13 +86,7 @@ std::vector<FuzzTarget> make_targets() {
                      ablated_at2({.ablate_halt_filter = true})});
   targets.push_back({"at2-trunc", "the impossible A_{t+1} (Phase 1 cut short)",
                      Model::ES, false, "consensus",
-                     [](ProcessId self, const SystemConfig& config)
-                         -> std::unique_ptr<RoundAlgorithm> {
-                       At2Options o;
-                       o.phase1_rounds = config.t;
-                       return std::make_unique<At2>(
-                           self, config, hurfin_raynal_factory(), o);
-                     }});
+                     at2_truncated_factory(hurfin_raynal_factory())});
   return targets;
 }
 

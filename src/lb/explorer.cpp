@@ -142,12 +142,8 @@ long for_each_action_sequence(
     const SystemConfig& config, Round rounds, bool allow_delays,
     Round delay_gap,
     const std::function<bool(const std::vector<AdversaryAction>&)>& visit) {
-  config.validate();
-  SequenceEnumerator e{config, rounds, allow_delays, delay_gap, visit};
-  std::vector<AdversaryAction> actions;
-  actions.reserve(static_cast<std::size_t>(rounds));
-  e.recurse(actions, 0, ProcessSet::all(config.n), 0);
-  return e.visited;
+  return for_each_action_sequence_from(config, {}, rounds, allow_delays,
+                                       delay_gap, visit);
 }
 
 long for_each_action_sequence_from(
@@ -187,7 +183,7 @@ WorstCaseResult worst_case_over_deliveries(
     SystemConfig config, const AlgorithmFactory& factory,
     const std::vector<Value>& proposals, const std::vector<CrashSlot>& slots,
     long exhaustive_limit, long samples, std::uint64_t seed, Round max_rounds,
-    CampaignOptions campaign) {
+    CampaignOptions campaign, const ScheduleBuilder* prefix) {
   config.validate();
   if (static_cast<int>(slots.size()) > config.t) {
     throw std::invalid_argument("worst_case_over_deliveries: > t crashes");
@@ -224,7 +220,7 @@ WorstCaseResult worst_case_over_deliveries(
 
   auto evaluate = [&](std::uint64_t packed, RunContext& ctx,
                       WorstCaseResult& partial) {
-    ScheduleBuilder b(config);
+    ScheduleBuilder b = prefix ? *prefix : ScheduleBuilder(config);
     std::uint64_t cursor = packed;
     for (const CrashSlot& slot : slots) {
       ProcessSet delivered;

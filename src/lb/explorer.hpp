@@ -24,6 +24,12 @@
 //     counts);
 //   * the attack search in attack.hpp — adds Delay actions and hunts for a
 //     single ES run violating agreement (Proposition 1, made executable).
+//
+// Beside them sits the one crash-delivery search, worst_case_over_deliveries:
+// fixed crash slots (victim, round) whose final-message delivery patterns
+// are enumerated or sampled, optionally after a caller-built asynchronous
+// prefix (sim/harness.hpp's camp_split_prefix) — E7, E8, X4 and the tests
+// measure the coordinator/leader worst cases through it.
 
 // Sweeps are executed on the parallel campaign engine (common/thread_pool):
 // the action-sequence space is partitioned into independent chunks by its
@@ -150,11 +156,14 @@ struct WorstCaseResult {
 };
 
 /// Maximizes the global decision round over the delivery patterns of the
-/// given crash slots (synchronous runs).  Joint-exhaustive when the pattern
-/// space is within `exhaustive_limit`, otherwise seeded random sampling with
-/// `samples` draws.  Used to find the worst synchronous runs of the
-/// coordinator/leader baselines (2t+2 for Hurfin-Raynal, k+2f+2 for AMR)
-/// where the simple canned schedules are not adversarial enough.
+/// given crash slots.  Joint-exhaustive when the pattern space is within
+/// `exhaustive_limit`, otherwise seeded random sampling with `samples`
+/// draws.  Each run is the crash slots added to a copy of `prefix` — a
+/// builder holding a GST and pre-GST delays, such as camp_split_prefix
+/// makes — or, when `prefix` is null, to a synchronous run.  Used to find
+/// the worst runs of the coordinator/leader baselines (2t+2 for
+/// Hurfin-Raynal, k+2f+2 for AMR) where the simple canned schedules are not
+/// adversarial enough.
 ///
 /// The pattern space is swept in chunks on the campaign engine.  Sampled
 /// mode pre-draws the sample list from Rng(seed) before partitioning, so
@@ -165,6 +174,6 @@ WorstCaseResult worst_case_over_deliveries(
     const std::vector<Value>& proposals, const std::vector<CrashSlot>& slots,
     long exhaustive_limit = 1 << 16, long samples = 4096,
     std::uint64_t seed = 1, Round max_rounds = 64,
-    CampaignOptions campaign = {});
+    CampaignOptions campaign = {}, const ScheduleBuilder* prefix = nullptr);
 
 }  // namespace indulgence

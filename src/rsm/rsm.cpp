@@ -88,7 +88,7 @@ RsmReplica::RsmReplica(ProcessId self, const SystemConfig& config,
   if (options_.decide_retention < 0) {
     throw std::invalid_argument("RsmReplica: decide_retention must be >= 0");
   }
-  window_ = options_.slot_window > 0 ? options_.slot_window : config.t + 3;
+  window_ = resolved_slot_window(options_, config);
   burst_ = options_.slot_burst;
   for (Value v : queue_) {
     if (v == kBottom || v == kNoOpCommand) {

@@ -5,12 +5,13 @@
 //
 // Design:
 //   * Slot s is an independent consensus instance whose round 1 is global
-//     round s * window + 1.  Because every replica derives slot rounds from
-//     the global round number, the per-slot lock-step alignment that
-//     round-based algorithms require is preserved, and slots PIPELINE: with
-//     window = 1 and the failure-free-optimized A_{t+2}, a synchronous
-//     failure-free run commits one command per round after a 2-round
-//     warm-up.
+//     round s * window + 1; the default window is resolved_slot_window's
+//     t + 3, read from the paper's price table (core/price.hpp).  Because
+//     every replica derives slot rounds from the global round number, the
+//     per-slot lock-step alignment that round-based algorithms require is
+//     preserved, and slots PIPELINE: with window = 1 and the
+//     failure-free-optimized A_{t+2}, a synchronous failure-free run
+//     commits one command per round after a 2-round warm-up.
 //   * Each round a replica broadcasts a bundle holding one entry per active
 //     slot: the slot algorithm's message for a running slot, or an inline
 //     DECIDE notice (slot, value) once the replica knows the slot's outcome
@@ -61,6 +62,7 @@
 #include <vector>
 
 #include "consensus/consensus.hpp"
+#include "core/price.hpp"
 
 namespace indulgence {
 
@@ -91,8 +93,8 @@ using RsmCommitCallback =
 struct RsmOptions {
   int num_slots = 8;     ///< the most log positions to run (a cap: nothing
                          ///< is reserved for slots that never start)
-  Round slot_window = 0; ///< rounds between slot starts; 0 means t + 3
-                         ///< (A_{t+2}'s synchronous worst case, no overlap)
+  Round slot_window = 0; ///< rounds between slot starts; 0 means the
+                         ///< default of resolved_slot_window
   int slot_burst = 1;    ///< slots opened together per window step: burst b
                          ///< starts slots [i*b, (i+1)*b) at round
                          ///< i*window + 1, so b commands share each bundle
@@ -105,6 +107,17 @@ struct RsmOptions {
                                ///< notice within one round, so a small
                                ///< value suffices once bounds hold.
 };
+
+/// The rounds between slot starts that `options` selects for `config`:
+/// `slot_window`, or when it is 0 the latest round A_{t+2} may decide in a
+/// synchronous run (t + 3 from core/price.hpp), so slots never overlap.
+/// RsmReplica and the client campaign's log sizing both read it.
+inline Round resolved_slot_window(const RsmOptions& options,
+                                  const SystemConfig& config) {
+  return options.slot_window > 0
+             ? options.slot_window
+             : price(PriceRow::At2, config, config.t).latest();
+}
 
 /// The per-round bundle: one entry per active slot, either the running
 /// slot algorithm's message or an inline DECIDE notice.  Both lists are

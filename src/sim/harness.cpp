@@ -218,53 +218,80 @@ std::vector<RunSchedule> hostile_sync_schedules(SystemConfig config,
   return out;
 }
 
-namespace {
+std::vector<RunSchedule> all_hostile_sync_schedules(SystemConfig config) {
+  std::vector<RunSchedule> out;
+  for (int crashes = 0; crashes <= config.t; ++crashes) {
+    for (RunSchedule& s : hostile_sync_schedules(config, crashes)) {
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
 
-/// Partial result of the hostile-schedule sweep: the worst round is a max,
-/// so any chunk-ordered merge reproduces the sequential answer.
-struct WorstRound {
-  Round worst = 0;
-  void merge(const WorstRound& other) { worst = std::max(worst, other.worst); }
-};
+void camp_split_prefix(ScheduleBuilder& builder, const SystemConfig& config,
+                       Round k, const ProcessSet& camp_a) {
+  // lowest[c]: the t lowest ids of camp c (0: camp_a), hidden from the
+  // other camp's receivers.
+  ProcessSet lowest[2];
+  for (ProcessId pid = 0; pid < config.n; ++pid) {
+    ProcessSet& camp = lowest[camp_a.contains(pid) ? 0 : 1];
+    if (camp.size() < config.t) camp.insert(pid);
+  }
+  if (lowest[0].size() < config.t || lowest[1].size() < config.t) {
+    throw std::invalid_argument("camp_split_prefix: a camp holds < t ids");
+  }
+  builder.gst(k + 1);
+  for (Round r = 1; r <= k; ++r) {
+    for (ProcessId receiver = 0; receiver < config.n; ++receiver) {
+      for (ProcessId sender : lowest[camp_a.contains(receiver) ? 1 : 0]) {
+        builder.delay(sender, receiver, r, k + 1);
+      }
+    }
+  }
+}
 
-}  // namespace
+void SyncSweep::merge(const SyncSweep& other) {
+  if (other.runs == 0) return;
+  if (runs == 0 || other.min_round < min_round) {
+    min_round = other.min_round;
+    min_schedule = other.min_schedule;
+  }
+  if (runs == 0 || other.max_round > max_round) {
+    max_round = other.max_round;
+    max_schedule = other.max_schedule;
+  }
+  runs += other.runs;
+}
 
-Round worst_case_sync_decision_round(
-    SystemConfig config, const AlgorithmFactory& factory,
-    const std::vector<std::vector<Value>>& proposal_vectors, int crashes,
-    Round max_rounds, CampaignOptions campaign) {
-  KernelOptions options;
-  options.model = Model::ES;
-  options.max_rounds = max_rounds;
-
-  const std::vector<RunSchedule> schedules =
-      hostile_sync_schedules(config, crashes);
-  const long total =
-      static_cast<long>(schedules.size() * proposal_vectors.size());
-  const long per_proposal = static_cast<long>(proposal_vectors.size());
+SyncSweep worst_case_sync_decision_round(
+    SystemConfig config, KernelOptions options,
+    const AlgorithmFactory& factory, const std::vector<RunSchedule>& schedules,
+    const std::vector<std::vector<Value>>& proposal_vectors,
+    CampaignOptions campaign) {
+  const long per_schedule = static_cast<long>(proposal_vectors.size());
+  const long total = static_cast<long>(schedules.size()) * per_schedule;
 
   // One (schedule, proposal) cell per work item; chunked per schedule.
-  const WorstRound result = parallel_reduce<WorstRound>(
-      total, campaign.resolved_chunk(per_proposal), campaign.resolved_jobs(),
-      WorstRound{}, [&](long, long begin, long end) {
-        WorstRound partial;
+  return parallel_reduce<SyncSweep>(
+      total, campaign.resolved_chunk(per_schedule), campaign.resolved_jobs(),
+      SyncSweep{}, [&](long, long begin, long end) {
+        SyncSweep partial;
         RunContext ctx(config, options);
         for (long i = begin; i < end; ++i) {
-          const RunSchedule& schedule =
-              schedules[static_cast<std::size_t>(i / per_proposal)];
+          const auto s = static_cast<std::size_t>(i / per_schedule);
           const std::vector<Value>& proposals =
-              proposal_vectors[static_cast<std::size_t>(i % per_proposal)];
-          const RunResult& r = ctx.run(factory, proposals, schedule);
+              proposal_vectors[static_cast<std::size_t>(i % per_schedule)];
+          const RunResult& r = ctx.run(factory, proposals, schedules[s]);
           if (!r.ok()) {
             throw std::runtime_error(
                 "worst_case_sync_decision_round: run failed: " + r.summary() +
                 "\n" + r.validation.to_string() + "\n" + r.trace.to_string());
           }
-          partial.worst = std::max(partial.worst, *r.global_decision_round);
+          const Round round = *r.global_decision_round;
+          partial.merge({1, round, round, s, s});
         }
         return partial;
       });
-  return result.worst;
 }
 
 }  // namespace indulgence

@@ -5,7 +5,10 @@
 // against the model, and summarizes the consensus properties; and it
 // provides the classical worst-case synchronous schedules (staggered crash
 // chains, crash bursts, coordinator assassination) used by the paper's
-// complexity claims.  Both run_and_check and RunContext run through the
+// complexity claims, the camp-splitting asynchronous prefix of the
+// eventual-decision experiments, and the one hostile-schedule sweep
+// (worst_case_sync_decision_round) that measures a decision-round claim
+// over a schedule list.  Both run_and_check and RunContext run through the
 // kernel's one run path, execute_run; a one-off run gets fresh scratch
 // buffers, a sweep worker's RunContext reuses its own.
 
@@ -146,16 +149,43 @@ RunSchedule async_prefix_schedule(SystemConfig config, Round gst,
 std::vector<RunSchedule> hostile_sync_schedules(SystemConfig config,
                                                 int crashes);
 
-/// Worst-case synchronous global decision round of `factory` over the
-/// hostile schedule library and the given proposal vectors; checks every
-/// run is valid, agreeing, and terminating.  Throws on any failure (the
-/// lowest-indexed failing run wins, at any job count).  The (schedule,
-/// proposal) grid is swept on the campaign engine.
-Round worst_case_sync_decision_round(SystemConfig config,
-                                     const AlgorithmFactory& factory,
-                                     const std::vector<std::vector<Value>>&
-                                         proposal_vectors,
-                                     int crashes, Round max_rounds = 256,
-                                     CampaignOptions campaign = {});
+/// hostile_sync_schedules for every crash count 0..t, in crash-count order:
+/// the synchronous runs a claim over "at most t crashes" quantifies over.
+std::vector<RunSchedule> all_hostile_sync_schedules(SystemConfig config);
+
+/// The camp-splitting asynchronous prefix: GST is k + 1, and in rounds
+/// 1..k every receiver misses (until GST) the round message of the t
+/// lowest ids of the other camp — `camp_a` or its complement.  Every
+/// receiver still hears exactly n - t current-round messages, so the
+/// prefix is t-resilient; it pins algorithms that need a quorum view of one
+/// value undecided until GST.  Requires both camps to hold at least t ids.
+void camp_split_prefix(ScheduleBuilder& builder, const SystemConfig& config,
+                       Round k, const ProcessSet& camp_a);
+
+/// What a hostile-schedule sweep measured: the run count, and the lowest
+/// and highest global decision round with the first schedule (an index
+/// into the swept list) that reached each.
+struct SyncSweep {
+  long runs = 0;
+  Round min_round = 0;
+  Round max_round = 0;
+  std::size_t min_schedule = 0;
+  std::size_t max_schedule = 0;
+
+  /// Monoid merge of a later chunk: runs add, and a bound moves only on a
+  /// strictly lower (min) or higher (max) round, so the earliest witness
+  /// wins at any chunking.
+  void merge(const SyncSweep& other);
+};
+
+/// Runs `factory` under `options` on every (schedule, proposal vector)
+/// pair, in schedule-major order, and checks every run is valid, agreeing,
+/// and terminating.  Throws on any failure (the lowest-indexed failing run
+/// wins, at any job count).  The grid is swept on the campaign engine.
+SyncSweep worst_case_sync_decision_round(
+    SystemConfig config, KernelOptions options,
+    const AlgorithmFactory& factory, const std::vector<RunSchedule>& schedules,
+    const std::vector<std::vector<Value>>& proposal_vectors,
+    CampaignOptions campaign = {});
 
 }  // namespace indulgence

@@ -6,6 +6,7 @@
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "lb/attack.hpp"
 #include "sim/harness.hpp"
 
@@ -14,13 +15,6 @@ namespace {
 
 AlgorithmFactory ablated(At2Options options) {
   return at2_factory(hurfin_raynal_factory(), options);
-}
-
-KernelOptions es_options() {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = 128;
-  return o;
 }
 
 TEST(Ablation, FullAlgorithmSurvivesTheSearchBaseline) {
@@ -92,12 +86,10 @@ TEST(Ablation, AblatedVariantsStillFineInPurelySynchronousRuns) {
        {At2Options{.ablate_halt_exchange = true},
         At2Options{.ablate_false_suspicion_check = true},
         At2Options{.ablate_halt_filter = true}}) {
-    for (const RunSchedule& s : hostile_sync_schedules(cfg, cfg.t)) {
-      RunResult r = run_and_check(cfg, es_options(), ablated(opt),
-                                  distinct_proposals(cfg.n), s);
-      ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-      EXPECT_LE(*r.global_decision_round, cfg.t + 3);
-    }
+    const SyncSweep sweep = worst_case_sync_decision_round(
+        cfg, KernelOptions{.max_rounds = 128}, ablated(opt),
+        hostile_sync_schedules(cfg, cfg.t), {distinct_proposals(cfg.n)});
+    EXPECT_LE(sweep.max_round, price(PriceRow::At2, cfg, cfg.t).latest());
   }
 }
 

@@ -7,6 +7,7 @@
 #include "consensus/floodset.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
@@ -14,9 +15,7 @@ namespace {
 
 TEST(RandomEsAdversary, TracesAreAlwaysModelValid) {
   const SystemConfig cfg{.n = 6, .t = 2};
-  KernelOptions opt;
-  opt.model = Model::ES;
-  opt.max_rounds = 64;
+  KernelOptions opt{.max_rounds = 64};
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     RandomEsOptions aopt;
     aopt.gst = 1 + static_cast<Round>(seed % 10);
@@ -72,9 +71,7 @@ TEST(RandomEsAdversary, PostGstRoundsHaveNoDelaysFromLiveSenders) {
 
 TEST(RandomScsAdversary, TracesAreAlwaysModelValid) {
   const SystemConfig cfg{.n = 6, .t = 2};
-  KernelOptions opt;
-  opt.model = Model::SCS;
-  opt.max_rounds = 32;
+  KernelOptions opt{.model = Model::SCS, .max_rounds = 32};
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     RandomScsAdversary adversary(cfg, {}, seed);
     RunResult r = run_and_check(cfg, opt, floodset_factory(),
@@ -83,7 +80,8 @@ TEST(RandomScsAdversary, TracesAreAlwaysModelValid) {
         << "seed " << seed << "\n" << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)
         << "seed " << seed << "\n" << r.trace.to_string();
-    EXPECT_EQ(*r.global_decision_round, cfg.t + 1);
+    EXPECT_EQ(*r.global_decision_round,
+              price(PriceRow::FloodSet, cfg, cfg.t).round);
   }
 }
 

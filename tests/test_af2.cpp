@@ -7,18 +7,12 @@
 
 #include "consensus/amr_leader.hpp"
 #include "core/af2.hpp"
+#include "core/price.hpp"
 #include "lb/explorer.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
-
-KernelOptions es_options(Round max_rounds = 256) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
 
 // ---------------------------------------------------------------------------
 // Early decision: synchronous runs with f crashes decide by round f + 2.
@@ -35,17 +29,17 @@ class Af2EarlyDecision : public ::testing::TestWithParam<EarlyCase> {};
 TEST_P(Af2EarlyDecision, HostileSyncSchedulesDecideByFPlus2) {
   const auto [n, t, f] = GetParam();
   const SystemConfig cfg{.n = n, .t = t};
-  for (const RunSchedule& s : hostile_sync_schedules(cfg, f)) {
-    // Only consider schedules whose crashes all land within the first f+1
-    // rounds (Lemma 15 with k = 0 assumes f crashes "after round 0"; a
-    // crash at round r restarts the f+2 clock only in the k-shifted form).
-    if (s.last_planned_round() > f + 1) continue;
-    RunResult r = run_and_check(cfg, es_options(), af2_factory(),
-                                distinct_proposals(n), s);
-    ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-    EXPECT_LE(*r.global_decision_round, f + 2)
-        << "crashes=" << f << "\n" << r.trace.to_string();
-  }
+  std::vector<RunSchedule> schedules = hostile_sync_schedules(cfg, f);
+  // Only consider schedules whose crashes all land within the first f+1
+  // rounds (Lemma 15 with k = 0 assumes f crashes "after round 0"; a
+  // crash at round r restarts the f+2 clock only in the k-shifted form).
+  std::erase_if(schedules, [&](const RunSchedule& s) {
+    return s.last_planned_round() > f + 1;
+  });
+  const SyncSweep sweep = worst_case_sync_decision_round(
+      cfg, KernelOptions{}, af2_factory(), schedules, {distinct_proposals(n)});
+  EXPECT_LE(sweep.max_round, price(PriceRow::Af2, cfg, f).round)
+      << "crashes=" << f;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -57,11 +51,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Af2, FailureFreeDecidesInTwoRounds) {
   const SystemConfig cfg{.n = 7, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), af2_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, af2_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r.global_decision_round, 2);  // f = 0: f + 2 = 2
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::Af2, cfg, 0).round);
 }
 
 TEST(Af2, ExhaustiveSearchConfirmsFPlus2IsWorstCase) {
@@ -71,7 +65,7 @@ TEST(Af2, ExhaustiveSearchConfirmsFPlus2IsWorstCase) {
   WorstCaseResult w = worst_case_over_deliveries(
       cfg, af2_factory(), distinct_proposals(cfg.n), {{0, 1}});
   EXPECT_TRUE(w.all_ok);
-  EXPECT_EQ(w.worst_decision_round, 3);
+  EXPECT_EQ(w.worst_decision_round, price(PriceRow::Af2, cfg, 1).round);
   EXPECT_EQ(w.runs, 8);  // 2^(n-1) delivery patterns
 }
 
@@ -92,10 +86,10 @@ TEST_P(Af2EventualDecision, DecidesByKPlusFPlus2) {
   const SystemConfig cfg{.n = 10, .t = 3};
   const RunSchedule s =
       async_prefix_schedule(cfg, /*gst=*/k + 1, ProcessSet{0, 1}, f);
-  RunResult r = run_and_check(cfg, es_options(), af2_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, af2_factory(),
                               distinct_proposals(cfg.n), s);
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_LE(*r.global_decision_round, k + f + 2)
+  EXPECT_LE(*r.global_decision_round, price(PriceRow::Af2, cfg, f, k).round)
       << "k=" << k << " f=" << f << "\n" << r.trace.to_string();
 }
 
@@ -114,7 +108,7 @@ TEST(Af2, TerminatesByGstPlusTPlus2UnderRandomAdversaries) {
     opt.gst = 1 + static_cast<Round>(seed % 9);
     opt.max_delay = 2;
     RandomEsAdversary adversary(cfg, opt, seed * 29 + 1);
-    RunResult r = run_and_check(cfg, es_options(), af2_factory(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, af2_factory(),
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)
@@ -122,7 +116,8 @@ TEST(Af2, TerminatesByGstPlusTPlus2UnderRandomAdversaries) {
     // Crash-round messages may be delayed up to max_delay rounds past GST,
     // which in the worst case shifts effective synchrony by max_delay.
     EXPECT_LE(*r.global_decision_round,
-              (opt.gst - 1) + opt.max_delay + cfg.t + 2)
+              price(PriceRow::Af2, cfg, cfg.t, (opt.gst - 1) + opt.max_delay)
+                  .round)
         << "seed " << seed << "\n" << r.trace.to_string();
   }
 }
@@ -140,7 +135,7 @@ TEST(Af2VsAmr, WorstCaseOverDeliveriesShowsTheGap) {
       cfg, amr_leader_factory(), distinct_proposals(cfg.n), amr_slots,
       /*exhaustive_limit=*/1 << 15, /*samples=*/8192);
   EXPECT_TRUE(amr.all_ok);
-  EXPECT_EQ(amr.worst_decision_round, 2 * 2 + 2)  // 2f + 2 = 6
+  EXPECT_EQ(amr.worst_decision_round, price(PriceRow::Amr, cfg, 2).round)
       << "AMR should have a 2f+2 synchronous run";
 
   // A_{f+2} under the same crash slots stays within f + 3 (= slot round

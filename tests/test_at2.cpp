@@ -8,17 +8,13 @@
 #include "consensus/chandra_toueg.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
 
-KernelOptions es_options(Round max_rounds = 128) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
+constexpr KernelOptions kEs{.max_rounds = 128};
 
 AlgorithmFactory at2() { return at2_factory(hurfin_raynal_factory()); }
 
@@ -36,21 +32,15 @@ class At2FastDecision : public ::testing::TestWithParam<FastDecisionCase> {};
 TEST_P(At2FastDecision, AllHostileSyncSchedulesDecideAtTPlus2) {
   const auto [n, t] = GetParam();
   const SystemConfig cfg{.n = n, .t = t};
-  for (int crashes = 0; crashes <= t; ++crashes) {
-    for (const RunSchedule& schedule : hostile_sync_schedules(cfg, crashes)) {
-      RunResult r = run_and_check(cfg, es_options(), at2(),
-                                  distinct_proposals(n), schedule);
-      ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-      ASSERT_TRUE(r.global_decision_round.has_value());
-      // Lemma 13: by t+2.  (DECIDE relays may finish stragglers at t+3 when
-      // a crash at t+2 starves someone, hence <=; the common case is ==.)
-      EXPECT_LE(*r.global_decision_round, t + 3)
-          << r.trace.to_string();
-      EXPECT_GE(*r.global_decision_round, t + 2)
-          << "A_{t+2} never decides before t+2 without the ff optimization\n"
-          << r.trace.to_string();
-    }
-  }
+  const SyncSweep sweep = worst_case_sync_decision_round(
+      cfg, kEs, at2(), all_hostile_sync_schedules(cfg),
+      {distinct_proposals(n)});
+  // Lemma 13: by t+2, plus the DECIDE relay that finishes a straggler a
+  // crash at t+2 starved; A_{t+2} never decides before t+2 without the ff
+  // optimization.
+  const Price paper = price(PriceRow::At2, cfg, t);
+  EXPECT_LE(sweep.max_round, paper.latest());
+  EXPECT_GE(sweep.min_round, paper.round);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,11 +52,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(At2, FailureFreeSyncRunDecidesExactlyAtTPlus2) {
   const SystemConfig cfg{.n = 7, .t = 3};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, kEs, at2(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, cfg.t + 2);
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::At2, cfg, 0).round);
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
   }
@@ -74,7 +64,7 @@ TEST(At2, FailureFreeSyncRunDecidesExactlyAtTPlus2) {
 
 TEST(At2, DecidesMinimumSurvivingValueUnderChain) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, kEs, at2(),
                               distinct_proposals(cfg.n),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
@@ -97,7 +87,7 @@ TEST(At2, EliminationPropertyUnderRandomEsAdversaries) {
     RandomEsAdversary adversary(cfg, opt, seed);
 
     AlgorithmInstances instances;
-    RunResult r = run_and_check(cfg, es_options(), at2(),
+    RunResult r = run_and_check(cfg, kEs, at2(),
                                 distinct_proposals(cfg.n), adversary,
                                 &instances);
     ASSERT_TRUE(r.validation.ok()) << "seed " << seed << "\n"
@@ -124,7 +114,7 @@ TEST(At2, SyncRunsNeverDetectFalseSuspicions) {
   const SystemConfig cfg{.n = 6, .t = 2};
   for (const RunSchedule& schedule : hostile_sync_schedules(cfg, cfg.t)) {
     AlgorithmInstances instances;
-    RunResult r = run_and_check(cfg, es_options(), at2(),
+    RunResult r = run_and_check(cfg, kEs, at2(),
                                 distinct_proposals(cfg.n), schedule,
                                 &instances);
     ASSERT_TRUE(r.ok()) << r.summary();
@@ -162,7 +152,7 @@ TEST_P(At2RandomSweep, ConsensusHoldsAndTerminationFollowsGst) {
     RandomEsOptions opt;
     opt.gst = gst;
     RandomEsAdversary adversary(cfg, opt, seed * 7919 + n * 31 + t);
-    RunResult r = run_and_check(cfg, es_options(256), at2(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                                 distinct_proposals(n), adversary);
     ASSERT_TRUE(r.validation.ok())
         << "seed " << seed << ": " << r.validation.to_string();
@@ -188,21 +178,11 @@ TEST(At2, AsyncPrefixForcesUnderlyingConsensusYetAgrees) {
   const SystemConfig cfg{.n = 5, .t = 2};
   // Delay two laggards' messages through round t+2 so that BOTTOM new
   // estimates appear and some processes must fall through to C.
-  ScheduleBuilder b(cfg);
-  const Round through = cfg.t + 2;
-  for (Round k = 1; k <= through; ++k) {
-    for (ProcessId lag : {0, 1}) {
-      for (ProcessId r = 0; r < cfg.n; ++r) {
-        if (r != lag) b.delay(lag, r, k, through + 1);
-      }
-    }
-  }
-  b.gst(through + 1);
-
   AlgorithmInstances instances;
-  RunResult r = run_and_check(cfg, es_options(), at2(),
-                              distinct_proposals(cfg.n), b.build(),
-                              &instances);
+  RunResult r = run_and_check(
+      cfg, kEs, at2(), distinct_proposals(cfg.n),
+      async_prefix_schedule(cfg, /*gst=*/cfg.t + 3, ProcessSet{0, 1}, 0),
+      &instances);
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
   bool someone_used_underlying = false;
   for (const auto& instance : instances) {
@@ -219,12 +199,13 @@ TEST(At2, WorksWithChandraTouegAsUnderlyingModule) {
   // "The fast decision property is achieved by A_{t+2} regardless of the
   // time complexity of C."
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, kEs,
                               at2_factory(chandra_toueg_factory()),
                               distinct_proposals(cfg.n),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_LE(*r.global_decision_round, cfg.t + 3);
+  EXPECT_LE(*r.global_decision_round,
+            price(PriceRow::At2, cfg, cfg.t).latest());
 }
 
 // ---------------------------------------------------------------------------
@@ -235,12 +216,13 @@ TEST(At2, FailureFreeOptimizationDecidesAtRound2) {
   const SystemConfig cfg{.n = 7, .t = 3};
   At2Options opt;
   opt.failure_free_opt = true;
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, kEs,
                               at2_factory(hurfin_raynal_factory(), opt),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, 2);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::At2FailureFree, cfg, 0).round);
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
   }
@@ -250,14 +232,15 @@ TEST(At2, FailureFreeOptimizationFallsBackUnderCrashes) {
   const SystemConfig cfg{.n = 7, .t = 3};
   At2Options opt;
   opt.failure_free_opt = true;
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, kEs,
                               at2_factory(hurfin_raynal_factory(), opt),
                               distinct_proposals(cfg.n),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
   // Suspicions in round 1 disable the shortcut; the normal t+2 path runs.
-  EXPECT_GE(*r.global_decision_round, cfg.t + 2);
-  EXPECT_LE(*r.global_decision_round, cfg.t + 3);
+  const Price paper = price(PriceRow::At2, cfg, cfg.t);
+  EXPECT_GE(*r.global_decision_round, paper.round);
+  EXPECT_LE(*r.global_decision_round, paper.latest());
 }
 
 TEST(At2, FailureFreeOptimizationKeepsAgreementUnderRandomAdversaries) {
@@ -268,7 +251,7 @@ TEST(At2, FailureFreeOptimizationKeepsAgreementUnderRandomAdversaries) {
     RandomEsOptions opt;
     opt.gst = 1 + static_cast<Round>(seed % 6);
     RandomEsAdversary adversary(cfg, opt, seed * 31 + 5);
-    RunResult r = run_and_check(cfg, es_options(256),
+    RunResult r = run_and_check(cfg, KernelOptions{},
                                 at2_factory(hurfin_raynal_factory(), at2_opt),
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();

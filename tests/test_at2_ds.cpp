@@ -9,17 +9,11 @@
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
 #include "core/at2_ds.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
-
-KernelOptions es_options(Round max_rounds = 256) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
 
 AlgorithmFactory at2_receipt_ds() {
   return at2_ds_factory(hurfin_raynal_factory(), receipt_detector_factory());
@@ -28,15 +22,12 @@ AlgorithmFactory at2_receipt_ds() {
 TEST(At2DS, FastDecisionAtTPlus2InSynchronousRuns) {
   for (const SystemConfig cfg : {SystemConfig{.n = 5, .t = 2},
                                  SystemConfig{.n = 7, .t = 3}}) {
-    for (int crashes = 0; crashes <= cfg.t; ++crashes) {
-      for (const RunSchedule& s : hostile_sync_schedules(cfg, crashes)) {
-        RunResult r = run_and_check(cfg, es_options(), at2_receipt_ds(),
-                                    distinct_proposals(cfg.n), s);
-        ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-        EXPECT_GE(*r.global_decision_round, cfg.t + 2);
-        EXPECT_LE(*r.global_decision_round, cfg.t + 3);
-      }
-    }
+    const SyncSweep sweep = worst_case_sync_decision_round(
+        cfg, KernelOptions{}, at2_receipt_ds(), all_hostile_sync_schedules(cfg),
+        {distinct_proposals(cfg.n)});
+    const Price paper = price(PriceRow::At2DS, cfg, cfg.t);
+    EXPECT_GE(sweep.min_round, paper.round);
+    EXPECT_LE(sweep.max_round, paper.latest());
   }
 }
 
@@ -51,12 +42,12 @@ TEST(At2DS, ReceiptDetectorMatchesAt2DecisionForDecision) {
     opt.gst = 1 + static_cast<Round>(seed % 6);
 
     RandomEsAdversary adv_a(cfg, opt, seed);
-    RunResult a = run_and_check(cfg, es_options(),
+    RunResult a = run_and_check(cfg, KernelOptions{},
                                 at2_factory(hurfin_raynal_factory()),
                                 distinct_proposals(cfg.n), adv_a);
 
     RandomEsAdversary adv_b(cfg, opt, seed);  // identical replay
-    RunResult b = run_and_check(cfg, es_options(), at2_receipt_ds(),
+    RunResult b = run_and_check(cfg, KernelOptions{}, at2_receipt_ds(),
                                 distinct_proposals(cfg.n), adv_b);
 
     ASSERT_TRUE(a.validation.ok() && b.validation.ok());
@@ -81,7 +72,7 @@ TEST(At2DS, ScriptedFalseSuspicionsDelayButNeverBreakConsensus) {
   for (Round k = 1; k <= cfg.t + 1; ++k) lies[k] = ProcessSet{0, 1};
   AlgorithmFactory factory = at2_ds_factory(
       hurfin_raynal_factory(), scripted_detector_factory(lies));
-  RunResult r = run_and_check(cfg, es_options(), factory,
+  RunResult r = run_and_check(cfg, KernelOptions{}, factory,
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
@@ -107,7 +98,7 @@ TEST(At2DS, MassFalseSuspicionForcesBottomAndUnderlyingModule) {
                                    At2Options{});
   };
   AlgorithmInstances instances;
-  RunResult r = run_and_check(cfg, es_options(), factory,
+  RunResult r = run_and_check(cfg, KernelOptions{}, factory,
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg), &instances);
   ASSERT_TRUE(r.validation.ok());
@@ -143,7 +134,7 @@ TEST(At2DS, ConsensusUnderRandomAdversariesWithRandomLies) {
                                      scripted_detector_factory(lies),
                                      At2Options{});
     };
-    RunResult r = run_and_check(cfg, es_options(), factory,
+    RunResult r = run_and_check(cfg, KernelOptions{}, factory,
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)

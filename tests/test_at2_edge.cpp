@@ -8,17 +8,11 @@
 #include "consensus/chandra_toueg.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
-
-KernelOptions es_options(Round max_rounds = 256) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
 
 AlgorithmFactory at2(At2Options opt = {}) {
   return at2_factory(hurfin_raynal_factory(), opt);
@@ -26,20 +20,20 @@ AlgorithmFactory at2(At2Options opt = {}) {
 
 TEST(At2Edge, MinimalSystemN3T1) {
   const SystemConfig cfg{.n = 3, .t = 1};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, 3);
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::At2, cfg, 0).round);
 }
 
 TEST(At2Edge, LargeSystemN33T16) {
   const SystemConfig cfg{.n = 33, .t = 16};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, cfg.t + 2);
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::At2, cfg, cfg.t).round);
   for (ProcessId pid : r.trace.correct()) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
   }
@@ -55,10 +49,11 @@ TEST(At2Edge, CrashAtRoundTPlus2StarvesAProcessIntoTheDecideRelay) {
   lost.erase(0);
   lost.erase(1);
   b.losing_to(0, cfg.t + 2, lost);
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_LE(*r.global_decision_round, cfg.t + 3);
+  EXPECT_LE(*r.global_decision_round,
+            price(PriceRow::At2, cfg, 1).latest());
 }
 
 TEST(At2Edge, DelayedNewEstimatesForceTheUnderlyingModule) {
@@ -76,7 +71,7 @@ TEST(At2Edge, DelayedNewEstimatesForceTheUnderlyingModule) {
     }
   }
   b.gst(ne_round + 2);
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
   EXPECT_TRUE(r.agreement && r.validity && r.termination)
@@ -100,7 +95,7 @@ TEST(At2Edge, DelayedDecideStillReachesTheStarvedProcess) {
     b.delay(sender, 4, cfg.t + 3, cfg.t + 6);
   }
   b.gst(cfg.t + 6);
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
   ASSERT_TRUE(r.agreement && r.termination) << r.trace.to_string();
@@ -108,7 +103,7 @@ TEST(At2Edge, DelayedDecideStillReachesTheStarvedProcess) {
 
 TEST(At2Edge, DuplicateProposalsAreFine) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               {7, 3, 7, 3, 7},
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary();
@@ -120,7 +115,7 @@ TEST(At2Edge, DuplicateProposalsAreFine) {
 
 TEST(At2Edge, NegativeProposalsWork) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               {-5, -1, 0, 3, 9},
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok());
@@ -133,12 +128,13 @@ TEST(At2Edge, FailureFreeOptWithChandraTouegUnderlying) {
   const SystemConfig cfg{.n = 7, .t = 3};
   At2Options opt;
   opt.failure_free_opt = true;
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, KernelOptions{},
                               at2_factory(chandra_toueg_factory(), opt),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r.global_decision_round, 2);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::At2FailureFree, cfg, 0).round);
 }
 
 TEST(At2Edge, PartialFailureFreeDecisionPropagatesByNotice) {
@@ -151,12 +147,13 @@ TEST(At2Edge, PartialFailureFreeDecisionPropagatesByNotice) {
   ScheduleBuilder b(cfg);
   b.delay(0, 4, 2, 4);
   b.gst(4);
-  RunResult r = run_and_check(cfg, es_options(), at2_factory(
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2_factory(
                                   hurfin_raynal_factory(), opt),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
   ASSERT_TRUE(r.agreement && r.termination) << r.trace.to_string();
-  EXPECT_EQ(r.trace.decision_of(0)->round, 2);
+  EXPECT_EQ(r.trace.decision_of(0)->round,
+            price(PriceRow::At2FailureFree, cfg, 0).round);
   EXPECT_LE(r.trace.decision_of(4)->round, 4);
   EXPECT_EQ(r.trace.decision_of(4)->value, r.trace.decision_of(0)->value);
 }
@@ -167,7 +164,7 @@ TEST(At2Edge, AllProcessesCrashButMajoritySurvives) {
   const SystemConfig cfg{.n = 7, .t = 3};
   ScheduleBuilder b(cfg);
   for (ProcessId pid = 0; pid < cfg.t; ++pid) b.crash(pid, 1, true);
-  RunResult r = run_and_check(cfg, es_options(), at2(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, at2(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary();
   for (ProcessId pid : r.trace.correct()) {

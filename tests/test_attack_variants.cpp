@@ -67,15 +67,8 @@ TEST(AttackVariants, CustomProposalVectorsAreUsed) {
   options.proposal_vectors = {uniform_proposals(cfg.n, 5)};
   // With all-equal proposals even the truncated variant cannot disagree
   // (validity pins the only decidable value).
-  AlgorithmFactory truncated =
-      [](ProcessId self,
-         const SystemConfig& config) -> std::unique_ptr<RoundAlgorithm> {
-    At2Options o;
-    o.phase1_rounds = config.t;
-    return std::make_unique<At2>(self, config, hurfin_raynal_factory(), o);
-  };
-  const AttackResult attack =
-      search_agreement_violation(cfg, truncated, options);
+  const AttackResult attack = search_agreement_violation(
+      cfg, at2_truncated_factory(hurfin_raynal_factory()), options);
   EXPECT_FALSE(attack.violation_found)
       << "uniform proposals admit only one decision value";
 }

@@ -10,31 +10,23 @@
 #include "consensus/chandra_toueg.hpp"
 #include "consensus/floodset_ws.hpp"
 #include "consensus/hurfin_raynal.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
 
-KernelOptions es_options(Round max_rounds = 256) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
-
 // --- FloodSetWS -----------------------------------------------------------
 
 TEST(FloodSetWS, DecidesAtTPlus1InEverySynchronousRun) {
   const SystemConfig cfg{.n = 6, .t = 2};
-  for (int crashes = 0; crashes <= cfg.t; ++crashes) {
-    for (const RunSchedule& s : hostile_sync_schedules(cfg, crashes)) {
-      RunResult r = run_and_check(cfg, es_options(), floodset_ws_factory(),
-                                  distinct_proposals(cfg.n), s);
-      ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-      EXPECT_EQ(*r.global_decision_round, cfg.t + 1)
-          << "perfect-FD flooding is t+1-fast\n" << r.trace.to_string();
-    }
-  }
+  const SyncSweep sweep = worst_case_sync_decision_round(
+      cfg, KernelOptions{}, floodset_ws_factory(),
+      all_hostile_sync_schedules(cfg), {distinct_proposals(cfg.n)});
+  // Perfect-FD flooding is t+1-fast.
+  const Round paper = price(PriceRow::FloodSetWS, cfg, cfg.t).round;
+  EXPECT_EQ(sweep.min_round, paper);
+  EXPECT_EQ(sweep.max_round, paper);
 }
 
 TEST(FloodSetWS, MutualSuspicionExclusionIsSymmetric) {
@@ -43,7 +35,7 @@ TEST(FloodSetWS, MutualSuspicionExclusionIsSymmetric) {
   const SystemConfig cfg{.n = 5, .t = 2};
   ScheduleBuilder b(cfg);
   b.crash(0, 1, /*before_send=*/true);
-  RunResult r = run_and_check(cfg, es_options(), floodset_ws_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, floodset_ws_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok());
   for (ProcessId pid : r.trace.correct()) {
@@ -55,11 +47,12 @@ TEST(FloodSetWS, MutualSuspicionExclusionIsSymmetric) {
 
 TEST(HurfinRaynal, FailureFreeDecidesInTwoRounds) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), hurfin_raynal_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, hurfin_raynal_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, 2);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::HurfinRaynal, cfg, 0).round);
   // The first coordinator is p0, so its value 0 wins.
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
@@ -71,11 +64,12 @@ TEST(HurfinRaynal, CoordinatorAssassinationCosts2tPlus2Rounds) {
   for (const SystemConfig cfg : {SystemConfig{.n = 5, .t = 2},
                                  SystemConfig{.n = 7, .t = 3},
                                  SystemConfig{.n = 9, .t = 4}}) {
-    RunResult r = run_and_check(cfg, es_options(), hurfin_raynal_factory(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, hurfin_raynal_factory(),
                                 distinct_proposals(cfg.n),
                                 coordinator_assassin_schedule(cfg, cfg.t));
     ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-    EXPECT_EQ(*r.global_decision_round, 2 * cfg.t + 2)
+    EXPECT_EQ(*r.global_decision_round,
+              price(PriceRow::HurfinRaynal, cfg, cfg.t).round)
         << "n=" << cfg.n << " t=" << cfg.t << "\n" << r.trace.to_string();
   }
 }
@@ -86,7 +80,7 @@ TEST(HurfinRaynal, ConsensusUnderRandomEsAdversaries) {
     RandomEsOptions opt;
     opt.gst = 1 + static_cast<Round>(seed % 8);
     RandomEsAdversary adversary(cfg, opt, seed * 17 + 3);
-    RunResult r = run_and_check(cfg, es_options(), hurfin_raynal_factory(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, hurfin_raynal_factory(),
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)
@@ -102,14 +96,15 @@ TEST(HurfinRaynal, PartialCoordinatorDeliveryLocksButDoesNotDecide) {
   b.crash(0, 1);              // coordinator of attempt 0 dies mid-broadcast
   b.lose(0, 3, 1);
   b.lose(0, 4, 1);
-  RunResult r = run_and_check(cfg, es_options(), hurfin_raynal_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, hurfin_raynal_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
   // p1, p2 saw est 0 and voted it; everyone locks 0; attempt 1 decides 0.
   for (ProcessId pid : r.trace.correct()) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0) << r.trace.to_string();
   }
-  EXPECT_EQ(*r.global_decision_round, 4);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::HurfinRaynal, cfg, 1).round);
 }
 
 TEST(HurfinRaynal, RejectsMinorityCorrect) {
@@ -121,11 +116,12 @@ TEST(HurfinRaynal, RejectsMinorityCorrect) {
 
 TEST(ChandraToueg, FailureFreeDecidesInFourRounds) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), chandra_toueg_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, chandra_toueg_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, 4);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::ChandraToueg, cfg, 0).round);
 }
 
 TEST(ChandraToueg, AssassinatingCoordinatorsCostsFourRoundsEach) {
@@ -135,10 +131,11 @@ TEST(ChandraToueg, AssassinatingCoordinatorsCostsFourRoundsEach) {
   for (int a = 0; a < cfg.t; ++a) {
     b.crash(a, 4 * a + 1, /*before_send=*/true);
   }
-  RunResult r = run_and_check(cfg, es_options(), chandra_toueg_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, chandra_toueg_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, 4 * cfg.t + 4);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::ChandraToueg, cfg, cfg.t).round);
 }
 
 TEST(ChandraToueg, ConsensusUnderRandomEsAdversaries) {
@@ -147,7 +144,7 @@ TEST(ChandraToueg, ConsensusUnderRandomEsAdversaries) {
     RandomEsOptions opt;
     opt.gst = 1 + static_cast<Round>(seed % 10);
     RandomEsAdversary adversary(cfg, opt, seed * 101 + 7);
-    RunResult r = run_and_check(cfg, es_options(), chandra_toueg_factory(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, chandra_toueg_factory(),
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)
@@ -165,7 +162,7 @@ TEST(ChandraToueg, TimestampLockingSurvivesCoordinatorDeathAfterAcks) {
   lost.erase(0);
   lost.erase(1);  // only p1 hears DECIDE(v)
   b.losing_to(0, 4, lost);
-  RunResult r = run_and_check(cfg, es_options(), chandra_toueg_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, chandra_toueg_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
   for (ProcessId pid : r.trace.correct()) {
@@ -178,11 +175,11 @@ TEST(ChandraToueg, TimestampLockingSurvivesCoordinatorDeathAfterAcks) {
 
 TEST(AmrLeader, FailureFreeDecidesInTwoRounds) {
   const SystemConfig cfg{.n = 7, .t = 2};
-  RunResult r = run_and_check(cfg, es_options(), amr_leader_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, amr_leader_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, 2);
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::Amr, cfg, 0).round);
   // Leader p0's estimate is adopted by everyone in the first adopt round.
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
@@ -206,10 +203,11 @@ TEST(AmrLeader, LeaderCrashesCostTwoRoundsEach) {
   b.losing_to(0, 1, ProcessSet::all(cfg.n) - ProcessSet{0, 1, 5, 6});
   b.crash(1, 3);
   b.losing_to(1, 3, ProcessSet::all(cfg.n) - ProcessSet{1, 2, 3, 6});
-  RunResult r = run_and_check(cfg, es_options(), amr_leader_factory(),
+  RunResult r = run_and_check(cfg, KernelOptions{}, amr_leader_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, 2 * cfg.t + 2) << r.trace.to_string();
+  EXPECT_EQ(*r.global_decision_round, price(PriceRow::Amr, cfg, cfg.t).round)
+      << r.trace.to_string();
 }
 
 TEST(AmrLeader, ConsensusUnderRandomEsAdversaries) {
@@ -218,7 +216,7 @@ TEST(AmrLeader, ConsensusUnderRandomEsAdversaries) {
     RandomEsOptions opt;
     opt.gst = 1 + static_cast<Round>(seed % 8);
     RandomEsAdversary adversary(cfg, opt, seed * 13 + 11);
-    RunResult r = run_and_check(cfg, es_options(), amr_leader_factory(),
+    RunResult r = run_and_check(cfg, KernelOptions{}, amr_leader_factory(),
                                 distinct_proposals(cfg.n), adversary);
     ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
     ASSERT_TRUE(r.agreement && r.validity && r.termination)

@@ -7,6 +7,7 @@
 #include "consensus/floodset.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "lb/attack.hpp"
 #include "lb/explorer.hpp"
 
@@ -126,17 +127,34 @@ TEST(Campaign, WorstCaseOverDeliveriesSampledIsIdentical) {
 
 TEST(Campaign, WorstCaseSyncDecisionRoundIsIdentical) {
   const SystemConfig cfg{.n = 4, .t = 1};
-  CampaignOptions reference;
-  reference.jobs = 1;
+  const std::vector<RunSchedule> schedules =
+      hostile_sync_schedules(cfg, cfg.t);
   const std::vector<std::vector<Value>> proposals = {
       distinct_proposals(cfg.n), {3, 1, 2, 0}};
-  const Round sequential = worst_case_sync_decision_round(
-      cfg, at2(), proposals, cfg.t, 256, reference);
-  EXPECT_EQ(sequential, cfg.t + 2);
+  auto sweep = [&](const AlgorithmFactory& factory, CampaignOptions campaign) {
+    return worst_case_sync_decision_round(cfg, KernelOptions{}, factory,
+                                          schedules, proposals, campaign);
+  };
+  // Hurfin-Raynal's rounds spread from 2 failure-free (schedule 0) to
+  // 2t + 2, so its min and max come from different schedules.
+  const SyncSweep hr = sweep(hurfin_raynal_factory(), {.jobs = 1});
+  EXPECT_EQ(hr.runs, static_cast<long>(schedules.size() * 2));
+  EXPECT_EQ(hr.min_round, price(PriceRow::HurfinRaynal, cfg, 0).round);
+  EXPECT_EQ(hr.max_round, price(PriceRow::HurfinRaynal, cfg, 1).round);
+  EXPECT_EQ(hr.min_schedule, 0u);
+  EXPECT_NE(hr.max_schedule, 0u);
   for (const CampaignOptions& campaign : job_variants()) {
-    EXPECT_EQ(worst_case_sync_decision_round(cfg, at2(), proposals, cfg.t,
-                                             256, campaign),
-              sequential);
+    const SyncSweep w = sweep(hurfin_raynal_factory(), campaign);
+    const std::string label = "jobs=" + std::to_string(campaign.jobs) +
+                              " chunk=" + std::to_string(campaign.chunk);
+    EXPECT_EQ(w.runs, hr.runs) << label;
+    EXPECT_EQ(w.min_round, hr.min_round) << label;
+    EXPECT_EQ(w.max_round, hr.max_round) << label;
+    EXPECT_EQ(w.min_schedule, hr.min_schedule) << label;
+    EXPECT_EQ(w.max_schedule, hr.max_schedule) << label;
+    EXPECT_EQ(sweep(at2(), campaign).max_round,
+              price(PriceRow::At2, cfg, cfg.t).round)
+        << label;
   }
 }
 
@@ -144,12 +162,8 @@ TEST(Campaign, AttackSearchReportsTheSameCounterexample) {
   // The truncated A_{t+2} always has a violation; the reported run (and
   // the run count) must not depend on the job count.
   const SystemConfig cfg{.n = 3, .t = 1};
-  AlgorithmFactory truncated = [](ProcessId self, const SystemConfig& config)
-      -> std::unique_ptr<RoundAlgorithm> {
-    At2Options o;
-    o.phase1_rounds = config.t;
-    return std::make_unique<At2>(self, config, hurfin_raynal_factory(), o);
-  };
+  const AlgorithmFactory truncated =
+      at2_truncated_factory(hurfin_raynal_factory());
   AttackOptions reference;
   reference.campaign.jobs = 1;
   const AttackResult sequential =

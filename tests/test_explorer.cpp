@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "consensus/amr_leader.hpp"
 #include "consensus/floodset.hpp"
 #include "consensus/hurfin_raynal.hpp"
+#include "core/price.hpp"
 #include "lb/explorer.hpp"
 
 namespace indulgence {
@@ -90,8 +92,9 @@ TEST(Explorer, SyncExplorerAgreesWithKnownFloodSetBounds) {
   SyncRunExplorer explorer(kCfg, floodset_factory(), {5, 3, 9});
   const auto stats = explorer.explore(kCfg.t + 1);
   EXPECT_TRUE(stats.all_ok());
-  EXPECT_EQ(stats.max_decision_round, kCfg.t + 1);
-  EXPECT_EQ(stats.min_decision_round, kCfg.t + 1);
+  const Round paper = price(PriceRow::FloodSet, kCfg, kCfg.t).round;
+  EXPECT_EQ(stats.max_decision_round, paper);
+  EXPECT_EQ(stats.min_decision_round, paper);
   // Reachable decisions: 3 always survives (p1 cannot be silenced together
   // with anyone else at t = 1), and 5 wins only if p1 dies silently.
   EXPECT_TRUE(stats.decision_values.count(3));
@@ -107,8 +110,41 @@ TEST(Explorer, WorstCaseOverDeliveriesIsExhaustiveWhenSmall) {
   EXPECT_TRUE(w.all_ok);
   EXPECT_EQ(w.runs, 4);  // 2^(n-1) patterns
   // Killing the first coordinator costs HR one full attempt.
-  EXPECT_EQ(w.worst_decision_round, 4);
+  EXPECT_EQ(w.worst_decision_round,
+            price(PriceRow::HurfinRaynal, kCfg, 1).round);
   EXPECT_TRUE(w.schedule.has_value());
+}
+
+TEST(Explorer, PrefixedSearchFindsAmrsEventualDecisionCell) {
+  // E8's k = 2, f = 1 cell.  The camp-splitting prefix leaves every
+  // receiver exactly n - t in-round copies in rounds 1..k, and the leader
+  // crashing at GST costs AMR a whole two-round attempt: k + 2f + 2 = 6, at
+  // any job count.
+  const SystemConfig cfg{.n = 8, .t = 2};
+  const Round k = 2;
+  ScheduleBuilder prefix(cfg);
+  camp_split_prefix(prefix, cfg, k, ProcessSet{0, 6, 7});
+  const RunResult r = run_and_check(cfg, KernelOptions{}, amr_leader_factory(),
+                                    distinct_proposals(cfg.n), prefix.build());
+  EXPECT_TRUE(r.validation.ok()) << r.validation.to_string();
+  EXPECT_EQ(r.trace.gst(), k + 1);
+  for (Round round = 1; round <= k; ++round) {
+    for (ProcessId receiver = 0; receiver < cfg.n; ++receiver) {
+      EXPECT_EQ(r.trace.in_round_senders(receiver, round).size(),
+                cfg.n - cfg.t)
+          << "p" << receiver << " round " << round;
+    }
+  }
+  for (int jobs : {1, 4}) {
+    const WorstCaseResult w = worst_case_over_deliveries(
+        cfg, amr_leader_factory(), distinct_proposals(cfg.n), {{0, k + 1}},
+        /*exhaustive_limit=*/1 << 16, /*samples=*/4096, /*seed=*/1,
+        /*max_rounds=*/64, CampaignOptions{.jobs = jobs}, &prefix);
+    EXPECT_TRUE(w.all_ok) << "jobs=" << jobs;
+    EXPECT_EQ(w.runs, 128) << "jobs=" << jobs;  // 2^(n-1) patterns
+    EXPECT_EQ(w.worst_decision_round, price(PriceRow::Amr, cfg, 1, k).round)
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(Explorer, WorstCaseRejectsTooManySlots) {

@@ -6,26 +6,23 @@
 #include <gtest/gtest.h>
 
 #include "consensus/floodset_early.hpp"
+#include "core/price.hpp"
 #include "lb/explorer.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
 
-KernelOptions es_options() {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = 64;
-  return o;
-}
+constexpr KernelOptions kEs{.max_rounds = 64};
 
 TEST(FloodSetEarly, FailureFreeDecidesInTwoRounds) {
   const SystemConfig cfg{.n = 7, .t = 3};
-  RunResult r = run_and_check(cfg, es_options(), floodset_early_factory(),
+  RunResult r = run_and_check(cfg, kEs, floodset_early_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary();
-  EXPECT_EQ(*r.global_decision_round, 2);  // f = 0 -> f + 2
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::FloodSetEarly, cfg, 0).round);
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
   }
@@ -34,15 +31,16 @@ TEST(FloodSetEarly, FailureFreeDecidesInTwoRounds) {
 TEST(FloodSetEarly, DecidesByFPlus2OnHostileSchedules) {
   const SystemConfig cfg{.n = 7, .t = 3};
   for (int f = 0; f <= cfg.t; ++f) {
-    for (const RunSchedule& s : hostile_sync_schedules(cfg, f)) {
-      if (s.last_planned_round() > f + 1) continue;  // crashes in first f+1
-      RunResult r = run_and_check(cfg, es_options(),
-                                  floodset_early_factory(),
-                                  distinct_proposals(cfg.n), s);
-      ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-      EXPECT_LE(*r.global_decision_round, f + 2)
-          << "f=" << f << "\n" << r.trace.to_string();
-    }
+    std::vector<RunSchedule> schedules = hostile_sync_schedules(cfg, f);
+    std::erase_if(schedules, [&](const RunSchedule& s) {
+      return s.last_planned_round() > f + 1;  // crashes in first f+1
+    });
+    const SyncSweep sweep = worst_case_sync_decision_round(
+        cfg, kEs, floodset_early_factory(), schedules,
+        {distinct_proposals(cfg.n)});
+    // f + 2, not the row's min(f + 2, t + 1): the early-deciding bound
+    // alone, as the classical f + 2 result states it.
+    EXPECT_LE(sweep.max_round, f + 2) << "f=" << f;
   }
 }
 
@@ -56,7 +54,8 @@ TEST(FloodSetEarly, ExhaustiveSerialEnumerationConfirmsUniformAgreement) {
                              distinct_proposals(cfg.n));
     const auto stats = explorer.explore(cfg.t + 2);
     EXPECT_TRUE(stats.all_ok()) << "n=" << cfg.n;
-    EXPECT_EQ(stats.min_decision_round, 2);
+    EXPECT_EQ(stats.min_decision_round,
+              price(PriceRow::FloodSetEarly, cfg, 0).round);
     EXPECT_LE(stats.max_decision_round, cfg.t + 2);
   }
 }
@@ -83,7 +82,7 @@ TEST(FloodSetEarly, StragglerAdoptsTheDecisionNotice) {
   b.losing_to(0, 1, ProcessSet{4});
   b.crash(1, 2);
   b.losing_to(1, 2, ProcessSet{4});
-  RunResult r = run_and_check(cfg, es_options(), floodset_early_factory(),
+  RunResult r = run_and_check(cfg, kEs, floodset_early_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
   for (ProcessId pid : r.trace.correct()) {
@@ -99,7 +98,8 @@ TEST(FloodSetEarly, IsExactlyTheCandidateTheSyncLowerBoundAllows) {
   SyncRunExplorer explorer(cfg, floodset_early_factory(),
                            distinct_proposals(cfg.n));
   const auto stats = explorer.explore(1);
-  EXPECT_GE(stats.min_decision_round, 2);
+  EXPECT_GE(stats.min_decision_round,
+            price(PriceRow::LowerBound, cfg, 0).round);
 }
 
 }  // namespace

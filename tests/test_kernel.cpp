@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "consensus/floodset.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 #include "sim/kernel.hpp"
 #include "sim/validator.hpp"
@@ -12,35 +13,32 @@
 namespace indulgence {
 namespace {
 
-KernelOptions scs_options() {
-  KernelOptions o;
-  o.model = Model::SCS;
-  o.max_rounds = 64;
-  return o;
-}
+constexpr KernelOptions kScs{.model = Model::SCS, .max_rounds = 64};
 
 TEST(Kernel, FailureFreeFloodSetDecidesAtTPlus1) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, cfg.t + 1);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::FloodSet, cfg, cfg.t).round);
   for (ProcessId pid = 0; pid < cfg.n; ++pid) {
     const auto d = r.trace.decision_of(pid);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->value, 0) << "everyone must decide the minimum proposal";
-    EXPECT_EQ(d->round, cfg.t + 1);
+    EXPECT_EQ(d->round, price(PriceRow::FloodSet, cfg, cfg.t).round);
   }
 }
 
 TEST(Kernel, StaggeredChainStillDecidesMinimumKnownToSurvivors) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               distinct_proposals(cfg.n),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.trace.to_string();
-  EXPECT_EQ(*r.global_decision_round, cfg.t + 1);
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::FloodSet, cfg, cfg.t).round);
   // The chain keeps value 0 alive through p1 then p2: survivors decide 0.
   for (ProcessId pid : r.trace.correct()) {
     EXPECT_EQ(r.trace.decision_of(pid)->value, 0);
@@ -51,7 +49,7 @@ TEST(Kernel, CrashBeforeSendHidesTheValueEntirely) {
   const SystemConfig cfg{.n = 5, .t = 2};
   ScheduleBuilder b(cfg);
   b.crash(0, 1, /*before_send=*/true);  // p0 (value 0) dies silently
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary();
   for (ProcessId pid : r.trace.correct()) {
@@ -69,7 +67,7 @@ TEST(Kernel, SelfDeliveryIsUnconditional) {
   }
   // That would starve others below n - t in ES; run in SCS where loss from a
   // live process is a model violation the validator must flag.
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               distinct_proposals(cfg.n), b.build());
   EXPECT_FALSE(r.validation.ok())
       << "losing a live sender's messages violates SCS";
@@ -84,7 +82,7 @@ TEST(Kernel, TraceRecordsCrashAndDeliveries) {
   ProcessSet everyone_else = ProcessSet::all(cfg.n);
   everyone_else.erase(3);
   b.losing_to(3, 2, everyone_else);
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.ok()) << r.summary();
   ASSERT_EQ(r.trace.crashes().size(), 1u);
@@ -99,9 +97,7 @@ TEST(Kernel, TraceRecordsCrashAndDeliveries) {
 
 TEST(Kernel, EsDelayedMessageArrivesLater) {
   const SystemConfig cfg{.n = 4, .t = 1};
-  KernelOptions opt;
-  opt.model = Model::ES;
-  opt.max_rounds = 64;
+  KernelOptions opt{.max_rounds = 64};
   ScheduleBuilder b(cfg);
   b.gst(3);
   // p0 is a laggard in round 1: its message to p2 arrives in round 2.
@@ -120,14 +116,14 @@ TEST(Kernel, EsDelayedMessageArrivesLater) {
 
 TEST(Kernel, RejectsBottomProposal) {
   const SystemConfig cfg{.n = 3, .t = 1};
-  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(),
+  EXPECT_THROW(run_schedule(cfg, kScs, floodset_factory(),
                             {kBottom, 1, 2}, failure_free_schedule(cfg)),
                std::invalid_argument);
 }
 
 TEST(Kernel, RejectsWrongProposalCount) {
   const SystemConfig cfg{.n = 3, .t = 1};
-  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(), {1, 2},
+  EXPECT_THROW(run_schedule(cfg, kScs, floodset_factory(), {1, 2},
                             failure_free_schedule(cfg)),
                std::invalid_argument);
 }
@@ -136,14 +132,14 @@ TEST(Kernel, DelayFateInScsIsAProgrammingError) {
   const SystemConfig cfg{.n = 3, .t = 1};
   ScheduleBuilder b(cfg);
   b.delay(0, 1, 1, 2);
-  EXPECT_THROW(run_schedule(cfg, scs_options(), floodset_factory(),
+  EXPECT_THROW(run_schedule(cfg, kScs, floodset_factory(),
                             {0, 1, 2}, b.build()),
                std::logic_error);
 }
 
 TEST(Kernel, UniformProposalsDecideThatValueImmediatelyAtTPlus1) {
   const SystemConfig cfg{.n = 6, .t = 2};
-  RunResult r = run_and_check(cfg, scs_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kScs, floodset_factory(),
                               uniform_proposals(cfg.n, 42),
                               staggered_chain_schedule(cfg, cfg.t));
   ASSERT_TRUE(r.ok());

@@ -6,17 +6,13 @@
 #include "consensus/floodset.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
 namespace {
 
-KernelOptions es_options(Round max_rounds = 64) {
-  KernelOptions o;
-  o.model = Model::ES;
-  o.max_rounds = max_rounds;
-  return o;
-}
+constexpr KernelOptions kEs{.max_rounds = 64};
 
 TEST(KernelEdge, PendingMessageToCrashedReceiverIsDropped) {
   const SystemConfig cfg{.n = 4, .t = 1};
@@ -24,7 +20,7 @@ TEST(KernelEdge, PendingMessageToCrashedReceiverIsDropped) {
   b.delay(0, 2, 1, 5);   // p0's round-1 message to p2 due at round 5
   b.crash(2, 3);         // but p2 dies at round 3
   b.gst(5);
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, kEs,
                               at2_factory(hurfin_raynal_factory()),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();
@@ -43,7 +39,7 @@ TEST(KernelEdge, CrashOfAlreadyDeadProcessIsIgnored) {
   ScheduleBuilder b(cfg);
   b.crash(1, 1, true);
   b.crash(1, 2, true);  // double-kill: second must be a no-op
-  RunResult r = run_and_check(cfg, es_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kEs, floodset_factory(),
                               distinct_proposals(cfg.n), b.build());
   EXPECT_EQ(r.trace.crashes().size(), 1u);
   EXPECT_TRUE(r.validation.ok()) << r.validation.to_string();
@@ -56,7 +52,7 @@ TEST(KernelEdge, OutOfRangeCrashVictimIsIgnored) {
   ScheduleBuilder b(cfg);
   RunSchedule s = b.build();
   s.plan(1).add_crash({17, false});
-  RunResult r = run_and_check(cfg, es_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kEs, floodset_factory(),
                               distinct_proposals(cfg.n), s);
   EXPECT_TRUE(r.trace.crashes().empty());
 }
@@ -65,7 +61,7 @@ TEST(KernelEdge, HaltedProcessKeepsSendingDummiesCarryingItsDecision) {
   // FloodSet halts at t+1; every subsequent round the kernel must emit a
   // HaltedMessage so that the trace stays t-resilient.
   const SystemConfig cfg{.n = 4, .t = 1};
-  KernelOptions opt = es_options();
+  KernelOptions opt = kEs;
   opt.stop_on_global_decision = false;
   opt.max_rounds = 6;
   RunResult r = run_and_check(cfg, opt, floodset_factory(),
@@ -97,7 +93,7 @@ TEST(KernelEdge, SameSeedReplaysBitForBit) {
     RandomEsOptions opt;
     opt.gst = 4;
     RandomEsAdversary adversary(cfg, opt, seed);
-    return run_and_check(cfg, es_options(),
+    return run_and_check(cfg, kEs,
                          at2_factory(hurfin_raynal_factory()),
                          distinct_proposals(cfg.n), adversary)
         .trace;
@@ -111,21 +107,22 @@ TEST(KernelEdge, SameSeedReplaysBitForBit) {
 
 TEST(KernelEdge, StopOnGlobalDecisionFalseRunsToTheCap) {
   const SystemConfig cfg{.n = 4, .t = 1};
-  KernelOptions opt = es_options();
+  KernelOptions opt = kEs;
   opt.stop_on_global_decision = false;
   opt.max_rounds = 10;
   RunResult r = run_and_check(cfg, opt, floodset_factory(),
                               distinct_proposals(cfg.n),
                               failure_free_schedule(cfg));
   EXPECT_EQ(r.trace.rounds_executed(), 10);
-  EXPECT_EQ(*r.trace.global_decision_round(), cfg.t + 1);
+  EXPECT_EQ(*r.trace.global_decision_round(),
+            price(PriceRow::FloodSet, cfg, cfg.t).round);
 }
 
 TEST(KernelEdge, DecisionsSurviveCrashAfterDeciding) {
   // A process that decides at t+1 and crashes later still counts for
   // uniform agreement (its decision is recorded).
   const SystemConfig cfg{.n = 4, .t = 1};
-  KernelOptions opt = es_options();
+  KernelOptions opt = kEs;
   opt.stop_on_global_decision = false;
   opt.max_rounds = 5;
   ScheduleBuilder b(cfg);
@@ -133,7 +130,8 @@ TEST(KernelEdge, DecisionsSurviveCrashAfterDeciding) {
   RunResult r = run_and_check(cfg, opt, floodset_factory(),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.trace.decision_of(0).has_value());
-  EXPECT_EQ(r.trace.decision_of(0)->round, cfg.t + 1);
+  EXPECT_EQ(r.trace.decision_of(0)->round,
+            price(PriceRow::FloodSet, cfg, cfg.t).round);
   EXPECT_TRUE(r.agreement);
 }
 
@@ -142,7 +140,7 @@ TEST(KernelEdge, SelfDeliveryHappensEvenWhenPlanSaysOtherwise) {
   ScheduleBuilder b(cfg);
   RunSchedule s = b.build();
   s.plan(1).set_fate(0, 0, Fate::lose());  // nonsense: must be ignored
-  RunResult r = run_and_check(cfg, es_options(), floodset_factory(),
+  RunResult r = run_and_check(cfg, kEs, floodset_factory(),
                               distinct_proposals(cfg.n), s);
   EXPECT_TRUE(r.trace.in_round_senders(0, 1).contains(0));
 }
@@ -153,7 +151,7 @@ TEST(KernelEdge, DelayedDeliveriesArePresentedInSendRoundOrder) {
   b.delay(0, 1, 1, 3);
   b.delay(0, 1, 2, 3);
   b.gst(3);
-  RunResult r = run_and_check(cfg, es_options(),
+  RunResult r = run_and_check(cfg, kEs,
                               at2_factory(hurfin_raynal_factory()),
                               distinct_proposals(cfg.n), b.build());
   ASSERT_TRUE(r.validation.ok()) << r.validation.to_string();

@@ -10,6 +10,7 @@
 #include "consensus/floodset_ws.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "lb/attack.hpp"
 #include "lb/explorer.hpp"
 #include "sim/harness.hpp"
@@ -21,16 +22,7 @@ namespace {
 AlgorithmFactory at2() { return at2_factory(hurfin_raynal_factory()); }
 
 AlgorithmFactory at2_truncated() {
-  // Phase 1 cut to t rounds: a hypothetical "A_{t+1}" that decides at t+1
-  // in synchronous runs — exactly what Proposition 1 forbids.
-  At2Options opt;
-  opt.phase1_rounds = 0;  // placeholder; set per config below
-  return [](ProcessId self, const SystemConfig& config)
-             -> std::unique_ptr<RoundAlgorithm> {
-    At2Options o;
-    o.phase1_rounds = config.t;  // one round short of the canonical t+1
-    return std::make_unique<At2>(self, config, hurfin_raynal_factory(), o);
-  };
+  return at2_truncated_factory(hurfin_raynal_factory());
 }
 
 // ---------------------------------------------------------------------------
@@ -64,9 +56,7 @@ TEST(LowerBound, FloodSetInEsViolatesAgreement) {
       << "Proposition 1 guarantees an ES counterexample; tried "
       << attack.runs_tried << " runs";
   // Re-run the found schedule and double-check the trace independently.
-  KernelOptions opt;
-  opt.model = Model::ES;
-  opt.max_rounds = 64;
+  KernelOptions opt{.max_rounds = 64};
   RunResult r = run_and_check(cfg, opt, floodset_factory(),
                               *attack.proposals, *attack.schedule);
   EXPECT_TRUE(r.validation.ok()) << r.validation.to_string();
@@ -118,9 +108,10 @@ TEST(LowerBound, At2ExactWorstCaseSyncDecisionRoundIsTPlus2) {
     SyncRunExplorer explorer(cfg, at2(), distinct_proposals(cfg.n));
     const auto stats = explorer.explore(/*action_rounds=*/cfg.t + 2);
     EXPECT_TRUE(stats.all_ok());
-    EXPECT_EQ(stats.max_decision_round, cfg.t + 2)
+    const Round paper = price(PriceRow::At2, cfg, cfg.t).round;
+    EXPECT_EQ(stats.max_decision_round, paper)
         << "n=" << cfg.n << " over " << stats.runs << " serial sync runs";
-    EXPECT_EQ(stats.min_decision_round, cfg.t + 2)
+    EXPECT_EQ(stats.min_decision_round, paper)
         << "A_{t+2} (without ff-opt) decides exactly at t+2 in sync runs";
   }
 }
@@ -131,7 +122,8 @@ TEST(LowerBound, FloodSetExactWorstCaseSyncDecisionRoundIsTPlus1) {
                            distinct_proposals(cfg.n));
   const auto stats = explorer.explore(cfg.t + 1);
   EXPECT_TRUE(stats.all_ok());
-  EXPECT_EQ(stats.max_decision_round, cfg.t + 1);
+  EXPECT_EQ(stats.max_decision_round,
+            price(PriceRow::FloodSet, cfg, cfg.t).round);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,9 +135,7 @@ TEST(LowerBound, Fig1RunsAreModelValid) {
   const Fig1Runs runs = fig1_construction(cfg, /*prefix=*/{2},
                                           /*p1_prime=*/0, /*pi1_prime=*/1,
                                           /*decision_horizon=*/cfg.t + 6);
-  KernelOptions opt;
-  opt.model = Model::ES;
-  opt.max_rounds = 64;
+  KernelOptions opt{.max_rounds = 64};
   for (const RunSchedule* s :
        {&runs.s1, &runs.s0, &runs.a2, &runs.a1, &runs.a0}) {
     RunResult r =
@@ -165,9 +155,7 @@ TEST(LowerBound, Fig1SerialRunsDifferOnlyAtPi1Prime) {
   const ProcessId p1 = 0, pi1 = 1;
   const Fig1Runs runs =
       fig1_construction(cfg, {2}, p1, pi1, cfg.t + 6);
-  KernelOptions opt;
-  opt.model = Model::ES;
-  opt.max_rounds = 64;
+  KernelOptions opt{.max_rounds = 64};
   RunResult r1 = run_and_check(cfg, opt, at2(), distinct_proposals(cfg.n),
                                runs.s1);
   RunResult r0 = run_and_check(cfg, opt, at2(), distinct_proposals(cfg.n),

@@ -5,6 +5,7 @@
 #include "consensus/consensus.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 #include "sim/message.hpp"
 
@@ -53,9 +54,7 @@ TEST(Message, FindDecideNoticeSeesBothKinds) {
 
 TEST(Harness, RunResultSummaryMentionsEveryProperty) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  KernelOptions options;
-  options.model = Model::ES;
-  options.max_rounds = 64;
+  KernelOptions options{.max_rounds = 64};
   RunResult r = run_and_check(cfg, options,
                               at2_factory(hurfin_raynal_factory()),
                               distinct_proposals(cfg.n),
@@ -70,17 +69,15 @@ TEST(Harness, RunResultSummaryMentionsEveryProperty) {
 
 TEST(Harness, WorstCaseSyncDecisionRoundMatchesE1) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  const Round worst = worst_case_sync_decision_round(
-      cfg, at2_factory(hurfin_raynal_factory()),
-      {distinct_proposals(cfg.n)}, cfg.t);
-  EXPECT_EQ(worst, cfg.t + 2);
+  const SyncSweep sweep = worst_case_sync_decision_round(
+      cfg, KernelOptions{}, at2_factory(hurfin_raynal_factory()),
+      hostile_sync_schedules(cfg, cfg.t), {distinct_proposals(cfg.n)});
+  EXPECT_EQ(sweep.max_round, price(PriceRow::At2, cfg, cfg.t).round);
 }
 
 TEST(Harness, RoundCapYieldsTerminationFailureNotCrash) {
   const SystemConfig cfg{.n = 5, .t = 2};
-  KernelOptions options;
-  options.model = Model::ES;
-  options.max_rounds = 2;  // far too short for A_{t+2}
+  KernelOptions options{.max_rounds = 2};  // far too short for A_{t+2}
   RunResult r = run_and_check(cfg, options,
                               at2_factory(hurfin_raynal_factory()),
                               distinct_proposals(cfg.n),

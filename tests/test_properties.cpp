@@ -14,6 +14,7 @@
 #include "core/af2.hpp"
 #include "core/at2.hpp"
 #include "core/at2_ds.hpp"
+#include "core/price.hpp"
 #include "sim/harness.hpp"
 
 namespace indulgence {
@@ -49,9 +50,7 @@ class EsPropertyMatrix
 TEST_P(EsPropertyMatrix, AllAlgorithmsKeepConsensusUnderRandomEs) {
   const auto [n, t, gst] = GetParam();
   const SystemConfig cfg{.n = n, .t = t};
-  KernelOptions options;
-  options.model = Model::ES;
-  options.max_rounds = 400;
+  KernelOptions options{.max_rounds = 400};
 
   for (const AlgorithmCase& algo : es_algorithms()) {
     if (algo.needs_third && !cfg.third_correct()) continue;
@@ -85,9 +84,7 @@ TEST(PropertyMatrix, UniformProposalsAlwaysDecideThatValue) {
   // Strong validity corollary: when everyone proposes v, v is the only
   // possible decision — under any adversary, for every algorithm.
   const SystemConfig cfg{.n = 7, .t = 2};
-  KernelOptions options;
-  options.model = Model::ES;
-  options.max_rounds = 400;
+  KernelOptions options{.max_rounds = 400};
   for (const AlgorithmCase& algo : es_algorithms()) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
       RandomEsOptions aopt;
@@ -108,50 +105,34 @@ TEST(PropertyMatrix, SyncRunsOfEveryAlgorithmDecideWithinItsContract) {
   struct Contract {
     std::string name;
     AlgorithmFactory factory;
-    Round bound(const SystemConfig& cfg) const { return bound_fn(cfg); }
-    Round (*bound_fn)(const SystemConfig&);
+    PriceRow bound;
     bool needs_third;
   };
   const std::vector<Contract> contracts = {
-      {"A_{t+2}", at2_factory(hurfin_raynal_factory()),
-       [](const SystemConfig& c) { return c.t + 3; }, false},
-      {"A_{f+2}", af2_factory(),
-       [](const SystemConfig& c) { return c.t + 2; }, true},
-      {"HurfinRaynal", hurfin_raynal_factory(),
-       [](const SystemConfig& c) { return 2 * c.t + 2; }, false},
-      {"ChandraToueg", chandra_toueg_factory(),
-       [](const SystemConfig& c) { return 4 * c.t + 4; }, false},
-      {"AMR", amr_leader_factory(),
-       [](const SystemConfig& c) { return 2 * c.t + 2; }, true},
-      {"FloodSetWS", floodset_ws_factory(),
-       [](const SystemConfig& c) { return c.t + 1; }, false},
+      {"A_{t+2}", at2_factory(hurfin_raynal_factory()), PriceRow::At2, false},
+      {"A_{f+2}", af2_factory(), PriceRow::Af2, true},
+      {"HurfinRaynal", hurfin_raynal_factory(), PriceRow::HurfinRaynal, false},
+      {"ChandraToueg", chandra_toueg_factory(), PriceRow::ChandraToueg, false},
+      {"AMR", amr_leader_factory(), PriceRow::Amr, true},
+      {"FloodSetWS", floodset_ws_factory(), PriceRow::FloodSetWS, false},
   };
   for (const SystemConfig cfg :
        {SystemConfig{5, 2}, SystemConfig{7, 2}, SystemConfig{9, 2}}) {
-    KernelOptions options;
-    options.model = Model::ES;
-    options.max_rounds = 128;
+    const KernelOptions options{.max_rounds = 128};
     for (const Contract& c : contracts) {
       if (c.needs_third && !cfg.third_correct()) continue;
-      for (int crashes = 0; crashes <= cfg.t; ++crashes) {
-        for (const RunSchedule& s : hostile_sync_schedules(cfg, crashes)) {
-          RunResult r = run_and_check(cfg, options, c.factory,
-                                      distinct_proposals(cfg.n), s);
-          ASSERT_TRUE(r.ok()) << c.name << "\n" << r.summary() << "\n"
-                              << r.trace.to_string();
-          EXPECT_LE(*r.global_decision_round, c.bound(cfg))
-              << c.name << " n=" << cfg.n << "\n" << r.trace.to_string();
-        }
-      }
+      const SyncSweep sweep = worst_case_sync_decision_round(
+          cfg, options, c.factory, all_hostile_sync_schedules(cfg),
+          {distinct_proposals(cfg.n)});
+      EXPECT_LE(sweep.max_round, price(c.bound, cfg, cfg.t).latest())
+          << c.name << " n=" << cfg.n;
     }
   }
 }
 
 TEST(PropertyMatrix, ScsAlgorithmsUnderRandomScsAdversaries) {
   const SystemConfig cfg{.n = 7, .t = 3};
-  KernelOptions options;
-  options.model = Model::SCS;
-  options.max_rounds = 32;
+  KernelOptions options{.model = Model::SCS, .max_rounds = 32};
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     RandomScsAdversary adversary(cfg, {}, seed);
     RunResult r = run_and_check(cfg, options, floodset_factory(),
@@ -159,7 +140,8 @@ TEST(PropertyMatrix, ScsAlgorithmsUnderRandomScsAdversaries) {
     ASSERT_TRUE(r.validation.ok()) << "seed " << seed;
     ASSERT_TRUE(r.agreement && r.validity && r.termination)
         << "seed " << seed << "\n" << r.trace.to_string();
-    EXPECT_EQ(*r.global_decision_round, cfg.t + 1);
+    EXPECT_EQ(*r.global_decision_round,
+              price(PriceRow::FloodSet, cfg, cfg.t).round);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 
@@ -115,7 +116,8 @@ TEST(Rsm, PipeliningWithWindowOneCommitsEveryRound) {
   for (const RsmReplica* r : run.replicas) {
     ASSERT_TRUE(r->all_slots_committed());
     for (int slot = 0; slot < opt.num_slots; ++slot) {
-      EXPECT_EQ(r->commit_round(slot), slot + 2)
+      EXPECT_EQ(r->commit_round(slot),
+                slot + price(PriceRow::At2FailureFree, cfg, 0).round)
           << "slot " << slot << " did not pipeline";
     }
   }

@@ -10,6 +10,7 @@
 #include "consensus/hurfin_raynal.hpp"
 #include "core/af2.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
 
@@ -237,7 +238,8 @@ TEST(RsmBurst, LightBurstCommitsEveryCommandInItsFirstBurst) {
     for (const auto& [cmd, where] : slots) {
       EXPECT_TRUE(commands.contains(cmd)) << "p" << pid << " cmd " << cmd;
       ASSERT_EQ(where.size(), 1u) << "p" << pid << " cmd " << cmd;
-      EXPECT_EQ(replica.commit_round(where[0]), 2)
+      EXPECT_EQ(replica.commit_round(where[0]),
+                price(PriceRow::At2FailureFree, cfg, 0).round)
           << "p" << pid << " cmd " << cmd << " in slot " << where[0];
     }
   }
@@ -288,7 +290,8 @@ TEST(RsmBurst, LightBurstPullsAndCommitsEachIngestedCommandOnce) {
     for (const auto& [cmd, where] :
          command_slots(replica_of(instances, pid))) {
       ASSERT_EQ(where.size(), 1u) << "p" << pid << " cmd " << cmd;
-      EXPECT_EQ(replica_of(instances, pid).commit_round(where[0]), 2)
+      EXPECT_EQ(replica_of(instances, pid).commit_round(where[0]),
+                price(PriceRow::At2FailureFree, cfg, 0).round)
           << "p" << pid << " cmd " << cmd;
     }
   }

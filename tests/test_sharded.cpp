@@ -19,6 +19,7 @@
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "core/at2_auth.hpp"
 #include "rsm/rsm.hpp"
 #include "sim/harness.hpp"
@@ -65,7 +66,9 @@ void expect_model_guarantees(GroupId g, const RunResult& result,
   if (result.trace.gst() == 1) {
     EXPECT_TRUE(result.ok()) << context;
     ASSERT_TRUE(result.global_decision_round.has_value()) << context;
-    EXPECT_LE(*result.global_decision_round, cfg.t + 2) << context;
+    EXPECT_LE(*result.global_decision_round,
+              price(PriceRow::At2, cfg, cfg.t).round)
+        << context;
   }
 }
 

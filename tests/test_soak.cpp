@@ -84,7 +84,7 @@ TEST(Soak, RsmRandomizedSweep) {
     const SystemConfig cfg{.n = n, .t = t};
     RsmOptions opt;
     opt.num_slots = meta.next_int(2, 5);
-    opt.slot_window = meta.next_int(1, t + 3);
+    opt.slot_window = meta.next_int(1, resolved_slot_window(RsmOptions{}, cfg));
 
     RandomEsOptions aopt;
     aopt.gst = meta.next_int(1, 6);

@@ -14,6 +14,7 @@
 
 #include "consensus/hurfin_raynal.hpp"
 #include "core/at2.hpp"
+#include "core/price.hpp"
 #include "fuzz/targets.hpp"
 #include "net/runtime.hpp"
 #include "sim/harness.hpp"
@@ -237,7 +238,8 @@ TEST(FastStep, FastDecisionRacesTheStopAndStaysValid) {
       run_live(cfg, options, fast, distinct_proposals(cfg.n));
   ASSERT_TRUE(r.ok()) << r.summary() << "\n" << r.validation.to_string();
   ASSERT_TRUE(r.global_decision_round.has_value());
-  EXPECT_EQ(*r.global_decision_round, 2)
+  EXPECT_EQ(*r.global_decision_round,
+            price(PriceRow::At2FailureFree, cfg, 0).round)
       << "failure-free fast path should decide at round 2, one message "
          "delay before the t+2 slow path";
 }
